@@ -2,8 +2,6 @@
 polarization-doubled Fock space."""
 
 from .baselines import (
-    SingleModeOperator,
-    SingleModeWindow,
     build_cosine_sine_single,
     build_pegg_barnett,
     build_sg_single,
@@ -16,6 +14,7 @@ from .baselines import (
 from .fockspace import (
     Boundary,
     Polarization,
+    SingleModeWindow,
     StateVector,
     TailWeightError,
     Window,
@@ -32,8 +31,6 @@ from .operators import (
     NumberKind,
     OperatorMatrix,
     WindowMismatchError,
-    adjoint,
-    apply,
     build_a_m,
     build_a_minus,
     build_a_minus_dagger,
@@ -49,7 +46,6 @@ from .operators import (
     commutator,
     lowering_coefficient,
     operator_to_json_dict,
-    product,
 )
 from .phase import (
     PhaseDistribution,

@@ -2,120 +2,58 @@
 operator on a nonnegative Fock ladder, the Pegg-Barnett truncated-space
 unitary, and distribution comparison metrics.
 
-Single-mode operators live on indices 0..n_max and get their own small
-container (the doubled Window type cannot describe a nonnegative-only
-range). For pointwise distribution comparison the Pegg-Barnett dimension
-must equal the doubled grid size, so matched runs use s + 1 = D.
+Single-mode operators are OperatorMatrix values over a SingleModeWindow
+(indices 0..n_max). For pointwise distribution comparison the
+Pegg-Barnett dimension must equal the doubled grid size, so matched runs
+use s + 1 = D.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import Window
+from .fockspace import SingleModeWindow, Window
 from .formats import round_sig, window_to_json_dict
-from .operators import OperatorMatrix
-from .phase import PhaseDistribution, PhaseGrid, circular_stats
+from .operators import OperatorMatrix, _quadratures, _weighted_shift
+from .phase import PhaseDistribution, PhaseGrid, _phase_bras, circular_stats
 
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SingleModeWindow:
-    """Truncated single-polarization ladder: indices 0..n_max."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-
-    @property
-    def dimension(self) -> int:
-        return self.n_max + 1
-
-
-@dataclass(frozen=True, eq=False)
-class SingleModeOperator:
-    """Dense complex matrix over a single-mode window."""
-
-    nw: SingleModeWindow
-    entries: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        d = self.nw.dimension
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (d, d):
-            raise ValueError(f"entries shape {m.shape} does not match ({d},{d})")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    def adjoint(self) -> SingleModeOperator:
-        return SingleModeOperator(self.nw, self.entries.conj().T, f"adjoint({self.label})")
-
-    def __matmul__(self, other: SingleModeOperator) -> SingleModeOperator:
-        if self.nw != other.nw:
-            raise ValueError("product needs identical single-mode windows")
-        return SingleModeOperator(
-            self.nw, self.entries @ other.entries, f"({self.label} {other.label})"
-        )
-
-    def __sub__(self, other: SingleModeOperator) -> SingleModeOperator:
-        if self.nw != other.nw:
-            raise ValueError("difference needs identical single-mode windows")
-        return SingleModeOperator(
-            self.nw, self.entries - other.entries, f"({self.label} - {other.label})"
-        )
-
-
-def build_sg_single(nw: SingleModeWindow) -> SingleModeOperator:
+def build_sg_single(nw: SingleModeWindow) -> OperatorMatrix:
     """Unit lowering chain on 0..n_max; annihilates |0>, hence the
     classic unitarity defect E^dag E = I - |0><0|."""
-    m = np.zeros((nw.dimension, nw.dimension), dtype=complex)
-    for n in range(1, nw.dimension):
-        m[n - 1, n] = 1.0
-    return SingleModeOperator(nw, m, "sg_single")
+    return OperatorMatrix(nw, _weighted_shift([1.0] * nw.n_max), "sg_single")
 
 
-def build_cosine_sine_single(
-    nw: SingleModeWindow,
-) -> tuple[SingleModeOperator, SingleModeOperator]:
-    e = build_sg_single(nw).entries
-    c = (e + e.conj().T) / 2.0
-    s = (e - e.conj().T) / 2.0j
+def build_cosine_sine_single(nw: SingleModeWindow) -> tuple[OperatorMatrix, OperatorMatrix]:
+    c, s = _quadratures(build_sg_single(nw).entries)
     return (
-        SingleModeOperator(nw, c, "cosine_single"),
-        SingleModeOperator(nw, s, "sine_single"),
+        OperatorMatrix(nw, c, "cosine_single"),
+        OperatorMatrix(nw, s, "sine_single"),
     )
 
 
-def build_pegg_barnett(nw: SingleModeWindow, phi0: float = 0.0) -> SingleModeOperator:
+def build_pegg_barnett(nw: SingleModeWindow, phi0: float = 0.0) -> OperatorMatrix:
     """Unitary phase exponential on the truncated space: lowering chain
     with wrap element e^{i (s+1) phi0}, whose eigenstates are the uniform
     phase grid with offset phi0 and eigenvalues e^{i(phi0 + 2 pi k/(s+1))}.
     """
     d = nw.dimension
-    m = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        m[n - 1, n] = 1.0
-    m[d - 1, 0] = cmath.exp(1j * d * phi0)
-    return SingleModeOperator(nw, m, f"pegg_barnett(phi0={phi0:g})")
+    m = _weighted_shift([1.0] * (d - 1), wrap=cmath.exp(1j * d * phi0))
+    return OperatorMatrix(nw, m, f"pegg_barnett(phi0={phi0:g})")
 
 
-def restrict_to_upper(op: OperatorMatrix) -> SingleModeOperator:
+def restrict_to_upper(op: OperatorMatrix) -> OperatorMatrix:
     """The (n >= 0) x (n >= 0) sub-block of a doubled-space operator as a
     single-mode matrix over 0..hi."""
     w = op.window
     start = w.position(0)
     block = op.entries[start:, start:]
-    return SingleModeOperator(
-        SingleModeWindow(w.hi), block, f"upper_block({op.label})"
-    )
+    return OperatorMatrix(SingleModeWindow(w.hi), block, f"upper_block({op.label})")
 
 
 def single_mode_coherent(
@@ -151,7 +89,7 @@ def pegg_barnett_distribution(amplitudes: np.ndarray, grid: PhaseGrid) -> PhaseD
         )
     if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
         raise ValueError("single-mode state must be normalized")
-    overlaps = np.exp(-1j * np.outer(grid.points, np.arange(d))) @ amps / math.sqrt(d)
+    overlaps = _phase_bras(np.arange(d), grid.points) @ amps
     probabilities = np.abs(overlaps) ** 2
     mean, variance = circular_stats(grid.points, probabilities)
     return PhaseDistribution(grid, probabilities, mean, variance)

@@ -15,8 +15,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .operators import (
     operator_to_json_dict,
 )
 from .phase import (
+    _eigenphase,
     distribution_to_csv,
     distribution_to_json_dict,
     eigen_decompose_sg,
@@ -103,6 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
@@ -122,14 +128,26 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag_value is not None:
             merged[key] = flag_value
 
+    for key in ("n_max", "lo", "hi"):
+        value = merged[key]
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    for key in ("wrap_phase", "phi0"):
+        if not _is_number(merged[key]) or not math.isfinite(merged[key]):
+            raise ValueError(f"{key} must be a finite number, got {merged[key]!r}")
+    for key in ("out", "state", "operator"):
+        value = merged[key]
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+
     if merged["n_max"] is not None:
         if merged["lo"] is not None or merged["hi"] is not None:
             raise ValueError("give either --n-max or --lo/--hi, not both")
-        window = Window.symmetric(int(merged["n_max"]),
+        window = Window.symmetric(merged["n_max"],
                                   Boundary(merged["boundary"]),
                                   float(merged["wrap_phase"]))
     elif merged["lo"] is not None and merged["hi"] is not None:
-        window = Window(int(merged["lo"]), int(merged["hi"]),
+        window = Window(merged["lo"], merged["hi"],
                         Boundary(merged["boundary"]),
                         float(merged["wrap_phase"]))
     else:
@@ -141,6 +159,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     profile_value = merged["tolerance_profile"]
     if isinstance(profile_value, dict):
+        unknown = set(profile_value) - {f.name for f in fields(ToleranceProfile)}
+        if unknown:
+            raise ValueError(f"unknown tolerance_profile keys: {sorted(unknown)}")
+        for key, value in profile_value.items():
+            if not _is_number(value) or not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"tolerance_profile {key} must be a positive finite number, got {value!r}"
+                )
         profile = ToleranceProfile(**profile_value)
     else:
         profile = ToleranceProfile.named(str(profile_value))
@@ -183,12 +209,8 @@ def _run_check(config: RunConfig) -> tuple[str, int]:
 def _run_spectrum(config: RunConfig) -> tuple[str, int]:
     operator = build_susskind_glogower(config.window)
     pairs = eigen_decompose_sg(operator)
-    rows = []
-    for k, (value, _vec) in enumerate(pairs):
-        phase = float(np.angle(value) % (2.0 * np.pi))
-        if phase > 2.0 * np.pi - 1e-9:
-            phase = 0.0
-        rows.append((k, phase, value.real, value.imag))
+    rows = [(k, _eigenphase(value), value.real, value.imag)
+            for k, (value, _vec) in enumerate(pairs)]
     if config.output_format == "json":
         payload = dump_json({
             "window": window_to_json_dict(config.window),
@@ -254,8 +276,13 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {config.output_path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return exit_code

@@ -123,6 +123,25 @@ class Window:
         return np.arange(self.lo, self.hi + 1)
 
 
+@dataclass(frozen=True)
+class SingleModeWindow:
+    """Truncated single-polarization ladder: indices 0..n_max.
+
+    The baselines' window type; Window cannot describe it, since every
+    Window must straddle the vacuum seam.
+    """
+
+    n_max: int
+
+    def __post_init__(self):
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+
+    @property
+    def dimension(self) -> int:
+        return self.n_max + 1
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over a window, in storage (ascending label) order.

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fockspace import Boundary, StateVector, Window, photon_count
+from .fockspace import Boundary, SingleModeWindow, StateVector, Window, photon_count
 from .formats import round_sig, window_to_json_dict
 
 
@@ -54,19 +54,21 @@ class NumberKind(str, Enum):
     LITERAL = "literal"
 
 
-def _require_same_window(a: Window, b: Window, what: str) -> None:
+def _require_same_window(a, b, what: str) -> None:
     if a != b:
-        raise WindowMismatchError(
-            f"{what} needs identical windows, got [{a.lo},{a.hi},{a.boundary.value}]"
-            f" vs [{b.lo},{b.hi},{b.boundary.value}]"
-        )
+        raise WindowMismatchError(f"{what} needs identical windows, got {a} vs {b}")
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix over a window, tagged with its builder label."""
+    """Dense complex matrix over a window, tagged with its builder label.
 
-    window: Window
+    The window is a doubled-space Window or, for the single-polarization
+    baselines, a SingleModeWindow; operands of a binary operation must
+    share it.
+    """
+
+    window: Window | SingleModeWindow
     entries: np.ndarray
     label: str
 
@@ -119,18 +121,6 @@ class OperatorMatrix:
         return OperatorMatrix(self.window, -self.entries, f"(-{self.label})")
 
 
-def adjoint(a: OperatorMatrix) -> OperatorMatrix:
-    return a.adjoint()
-
-
-def product(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    return a @ b
-
-
-def apply(a: OperatorMatrix, state: StateVector) -> StateVector:
-    return a.apply(state)
-
-
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA."""
     _require_same_window(a.window, b.window, "commutator")
@@ -141,9 +131,21 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     )
 
 
-def _zeros(window: Window) -> np.ndarray:
-    d = window.dimension
-    return np.zeros((d, d), dtype=complex)
+def _weighted_shift(coefficients, lowering: bool = True, wrap: complex | None = None) -> np.ndarray:
+    """The one builder of shift-chain entries: a D x D matrix, D =
+    len(coefficients) + 1, with coefficients[k] joining storage positions
+    k and k+1, at (k, k+1) when lowering and at (k+1, k) when raising. A
+    wrap value closes the chain at the corner (D-1, 0) when lowering, or
+    (0, D-1) when raising."""
+    m = np.diag(np.asarray(coefficients, dtype=complex), 1 if lowering else -1)
+    if wrap is not None:
+        m[(-1, 0) if lowering else (0, -1)] = wrap
+    return m
+
+
+def _quadratures(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian parts C = (E + E^dag)/2 and S = (E - E^dag)/(2i)."""
+    return (e + e.conj().T) / 2.0, (e - e.conj().T) / 2.0j
 
 
 def build_identity(window: Window) -> OperatorMatrix:
@@ -157,39 +159,29 @@ def build_helicity(window: Window) -> OperatorMatrix:
 
 
 def build_a_plus(window: Window) -> OperatorMatrix:
-    m = _zeros(window)
-    for n in range(1, window.hi + 1):
-        m[window.position(n - 1), window.position(n)] = math.sqrt(n)
+    m = _weighted_shift(_chain(window, lambda n: n >= 1))
     return OperatorMatrix(window, m, "a_plus")
 
 
 def build_a_plus_dagger(window: Window) -> OperatorMatrix:
-    m = _zeros(window)
-    for n in range(0, window.hi):
-        m[window.position(n + 1), window.position(n)] = math.sqrt(n + 1)
+    m = _weighted_shift(_chain(window, lambda n: n >= 1), lowering=False)
     return OperatorMatrix(window, m, "a_plus_dagger")
 
 
 def build_a_minus(window: Window) -> OperatorMatrix:
-    m = _zeros(window)
-    for n in range(window.lo + 1, 0):
-        m[window.position(n - 1), window.position(n)] = math.sqrt(-n)
+    m = _weighted_shift(_chain(window, lambda n: n <= -1))
     return OperatorMatrix(window, m, "a_minus")
 
 
 def build_a_minus_dagger(window: Window) -> OperatorMatrix:
-    # annihilates |-1>: sources run lo..-2 only
-    m = _zeros(window)
-    for n in range(window.lo, -1):
-        m[window.position(n + 1), window.position(n)] = math.sqrt(-(n + 1))
+    # annihilates |-1>: the seam step (n = 0) is not part of the lower branch
+    m = _weighted_shift(_chain(window, lambda n: n <= -1), lowering=False)
     return OperatorMatrix(window, m, "a_minus_dagger")
 
 
 def build_a_v(window: Window) -> OperatorMatrix:
     """Vacuum coupler |-1><0|: sends the upper vacuum to the lower one."""
-    m = _zeros(window)
-    m[window.position(-1), window.position(0)] = 1.0
-    return OperatorMatrix(window, m, "a_v")
+    return OperatorMatrix(window, _weighted_shift(_chain(window, lambda n: n == 0)), "a_v")
 
 
 def lowering_coefficient(n: int) -> float:
@@ -202,16 +194,22 @@ def lowering_coefficient(n: int) -> float:
     return math.sqrt(-n)
 
 
+def _chain(window: Window, keep=lambda n: True) -> list[float]:
+    """lowering_coefficient(n) of the steps n -> n-1, n = lo+1..hi in
+    storage order; zero where keep(n) is false."""
+    return [
+        lowering_coefficient(n) if keep(n) else 0.0
+        for n in range(window.lo + 1, window.hi + 1)
+    ]
+
+
 def build_a_m(window: Window) -> OperatorMatrix:
     """Full lowering chain over both branches; see the module docstring
     for the boundary closure."""
-    m = _zeros(window)
-    for n in range(window.lo + 1, window.hi + 1):
-        m[window.position(n - 1), window.position(n)] = lowering_coefficient(n)
+    wrap = None
     if window.boundary is Boundary.CYCLIC:
         wrap = lowering_coefficient(window.lo) * cmath.exp(1j * window.wrap_phase)
-        m[window.position(window.hi), window.position(window.lo)] = wrap
-    return OperatorMatrix(window, m, "a_m")
+    return OperatorMatrix(window, _weighted_shift(_chain(window), wrap=wrap), "a_m")
 
 
 def build_number(window: Window, kind: NumberKind | str = NumberKind.LABEL) -> OperatorMatrix:
@@ -227,21 +225,16 @@ def build_number(window: Window, kind: NumberKind | str = NumberKind.LABEL) -> O
 
 def build_susskind_glogower(window: Window) -> OperatorMatrix:
     """Unit-coefficient lowering chain E (exponential-of-phase operator)."""
-    m = _zeros(window)
-    for n in range(window.lo + 1, window.hi + 1):
-        m[window.position(n - 1), window.position(n)] = 1.0
+    wrap = None
     if window.boundary is Boundary.CYCLIC:
-        m[window.position(window.hi), window.position(window.lo)] = cmath.exp(
-            1j * window.wrap_phase
-        )
+        wrap = cmath.exp(1j * window.wrap_phase)
+    m = _weighted_shift([1.0] * (window.dimension - 1), wrap=wrap)
     return OperatorMatrix(window, m, "susskind_glogower")
 
 
 def build_cosine_sine(window: Window) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Hermitian quadratures C = (E + E^dag)/2 and S = (E - E^dag)/(2i)."""
-    e = build_susskind_glogower(window).entries
-    c = (e + e.conj().T) / 2.0
-    s = (e - e.conj().T) / 2.0j
+    c, s = _quadratures(build_susskind_glogower(window).entries)
     return (
         OperatorMatrix(window, c, "cosine"),
         OperatorMatrix(window, s, "sine"),
@@ -256,7 +249,7 @@ def build_polarization_swap(window: Window) -> OperatorMatrix:
             f"polarization swap needs a symmetric window (lo = -(hi+1)); "
             f"got [{window.lo}, {window.hi}]"
         )
-    m = _zeros(window)
+    m = np.zeros((window.dimension, window.dimension), dtype=complex)
     for n in range(window.lo, window.hi + 1):
         m[window.position(-(n + 1)), window.position(n)] = 1.0
     return OperatorMatrix(window, m, "polarization_swap")

@@ -82,10 +82,12 @@ def phase_state(window: Window, phi: float) -> StateVector:
     return StateVector(window, amps)
 
 
-def _overlap_matrix(window: Window, points: np.ndarray) -> np.ndarray:
-    """Rows <phi_k| expressed over storage positions."""
-    half_labels = window.indices() + 0.5
-    return np.exp(-1j * np.outer(points, half_labels)) / math.sqrt(window.dimension)
+def _phase_bras(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The phase-grid basis as bras: row k is <phi_k| over the given basis
+    labels, e^{-i labels phi_k} / sqrt(len(labels)). Doubled-space labels
+    are n + 1/2; the single-mode Pegg-Barnett grid uses n. Its conjugate
+    transpose holds the phase states as columns."""
+    return np.exp(-1j * np.outer(points, labels)) / math.sqrt(len(labels))
 
 
 def circular_stats(points: np.ndarray, probabilities: np.ndarray) -> tuple[float, float]:
@@ -101,10 +103,18 @@ def phase_distribution(state: StateVector, grid: PhaseGrid) -> PhaseDistribution
         raise ValueError(
             f"state norm {state.norm():.12g} is not 1 within {PROBABILITY_TOL:g}"
         )
-    overlaps = _overlap_matrix(state.window, grid.points) @ state.amplitudes
+    overlaps = _phase_bras(state.window.indices() + 0.5, grid.points) @ state.amplitudes
     probabilities = np.abs(overlaps) ** 2
     mean, variance = circular_stats(grid.points, probabilities)
     return PhaseDistribution(grid, probabilities, mean, variance)
+
+
+def _eigenphase(value: complex) -> float:
+    """Angle of an eigenvalue in [0, 2 pi). An eigenvalue sitting exactly
+    on phase 0 may round to just below 2 pi; it is folded back to 0 so
+    ordering starts at the origin."""
+    phase = float(np.angle(value) % _TWO_PI)
+    return 0.0 if phase > _TWO_PI - 1e-9 else phase
 
 
 def eigen_decompose_sg(op: OperatorMatrix) -> list[tuple[complex, StateVector]]:
@@ -121,11 +131,7 @@ def eigen_decompose_sg(op: OperatorMatrix) -> list[tuple[complex, StateVector]]:
             "the open-mode operator is defective at the truncation edge"
         )
     values, vectors = np.linalg.eig(op.entries)
-    phases = np.mod(np.angle(values), _TWO_PI)
-    # an eigenvalue sitting exactly on phase 0 may round to just below
-    # 2 pi; fold it back so ordering starts at the origin
-    phases = np.where(_TWO_PI - phases < 1e-9, phases - _TWO_PI, phases)
-    order = np.argsort(phases)
+    order = np.argsort([_eigenphase(value) for value in values])
 
     pos0 = op.window.position(0)
     pairs = []

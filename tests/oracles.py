@@ -94,3 +94,79 @@ def forward_difference(values, step, antiperiodic=True):
         nxt = -values[0] if (j == n - 1 and antiperiodic) else values[(j + 1) % n]
         out[j] = (nxt - values[j]) / step
     return out
+
+
+def doubled_operator_entries(name, lo, hi, cyclic, wrap_phase):
+    """Closed-form nonzero entries {(row_label, col_label): value} of the
+    named doubled-space operator on the window [lo, hi], one explicit loop
+    per operator. cyclic closes the two lowering chains (a_m and E) with
+    the phased wrap element; every other operator ignores it."""
+    entries = {}
+    if name == "identity":
+        for n in range(lo, hi + 1):
+            entries[(n, n)] = 1.0
+    elif name == "helicity":
+        for n in range(lo, hi + 1):
+            entries[(n, n)] = 1.0 if n >= 0 else -1.0
+    elif name == "a_plus":
+        for n in range(1, hi + 1):
+            entries[(n - 1, n)] = math.sqrt(n)
+    elif name == "a_plus_dagger":
+        for n in range(0, hi):
+            entries[(n + 1, n)] = math.sqrt(n + 1)
+    elif name == "a_minus":
+        for n in range(lo + 1, 0):
+            entries[(n - 1, n)] = math.sqrt(-n)
+    elif name == "a_minus_dagger":
+        for n in range(lo, -1):
+            entries[(n + 1, n)] = math.sqrt(-(n + 1))
+    elif name == "a_v":
+        entries[(-1, 0)] = 1.0
+    elif name == "a_m":
+        for n in range(lo + 1, hi + 1):
+            entries[(n - 1, n)] = 1.0 if n == 0 else math.sqrt(abs(n))
+        if cyclic:
+            entries[(hi, lo)] = math.sqrt(-lo) * cmath.exp(1j * wrap_phase)
+    elif name.startswith("number_"):
+        for n in range(lo, hi + 1):
+            if name == "number_label":
+                value = n
+            elif name == "number_photon":
+                value = n if n >= 0 else -(n + 1)
+            else:
+                value = n if n >= 0 else abs(n + 1) - 1
+            if value:
+                entries[(n, n)] = float(value)
+    elif name == "susskind_glogower":
+        for n in range(lo + 1, hi + 1):
+            entries[(n - 1, n)] = 1.0
+        if cyclic:
+            entries[(hi, lo)] = cmath.exp(1j * wrap_phase)
+    elif name in ("cosine", "sine"):
+        # C = (E + E^dag)/2 and S = (E - E^dag)/(2i), entry by entry
+        sign = 1.0 if name == "cosine" else -1.0
+        scale = 2.0 if name == "cosine" else 2j
+        for (row, col), value in doubled_operator_entries(
+            "susskind_glogower", lo, hi, cyclic, wrap_phase
+        ).items():
+            entries[(row, col)] = entries.get((row, col), 0j) + value / scale
+            entries[(col, row)] = (
+                entries.get((col, row), 0j) + sign * complex(value).conjugate() / scale
+            )
+    elif name == "polarization_swap":
+        for n in range(lo, hi + 1):
+            entries[(-(n + 1), n)] = 1.0
+    else:
+        raise KeyError(name)
+    return {key: value for key, value in entries.items() if value != 0}
+
+
+def single_mode_shift_entries(s, wrap=None):
+    """Closed-form nonzeros {(row, col): value} of the unit lowering chain
+    on 0..s, plus the wrap element (s, 0) when given (Pegg-Barnett)."""
+    entries = {}
+    for n in range(1, s + 1):
+        entries[(n - 1, n)] = 1.0
+    if wrap is not None:
+        entries[(s, 0)] = wrap
+    return entries

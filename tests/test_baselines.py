@@ -98,7 +98,7 @@ class TestRestriction:
         w = Window(-6, 9, boundary)
         restricted = restrict_to_upper(build_susskind_glogower(w))
         single = build_sg_single(SingleModeWindow(9))
-        assert restricted.nw == SingleModeWindow(9)
+        assert restricted.window == SingleModeWindow(9)
         assert maxabs(restricted.entries - single.entries) == 0.0
 
     def test_helicity_restricts_to_the_identity(self):

@@ -49,7 +49,7 @@ class TestCheckCommand:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "n_max": 5,
-            "tolerance_profile": {"exact": 0.0, "accumulated": 0.0},
+            "tolerance_profile": {"exact": 1e-300, "accumulated": 1e-300},
         }))
         code, out, err = run_cli(capsys, "check", "--config", str(config))
         assert code == 1
@@ -151,11 +151,45 @@ class TestConfigResolution:
         ["check", "--lo", "-4"],
         ["check", "--n-max", "3", "--tolerance-profile", "nonsense"],
         ["check", "--lo", "0", "--hi", "4"],
+        ["phasedist", "--n-max", "2", "--state", "vacuum:sym", "--phi0", "nan",
+         "--format", "csv"],
+        ["phasedist", "--n-max", "2", "--state", "vacuum:sym", "--phi0=-inf"],
+        ["check", "--n-max", "3", "--wrap-phase", "inf"],
+        ["spectrum", "--n-max", "3", "--wrap-phase", "nan"],
     ])
     def test_invalid_configurations_exit_two(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert err
+        assert out == ""
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand,values", [
+        ("check", {"n_max": True}),
+        ("check", {"n_max": 2.7}),
+        ("check", {"n_max": "3"}),
+        ("check", {"lo": -3.0, "hi": 2}),
+        ("check", {"lo": -3, "hi": False}),
+        ("check", {"n_max": 2, "wrap_phase": float("nan")}),
+        ("check", {"n_max": 2, "wrap_phase": True}),
+        ("phasedist", {"n_max": 2, "state": "vacuum:sym", "phi0": float("inf")}),
+        ("phasedist", {"n_max": 2, "state": "vacuum:sym", "phi0": "0.3"}),
+        ("check", {"n_max": 2, "tolerance_profile": {"bogus": 1}}),
+        ("check", {"n_max": 2, "tolerance_profile": {"exact": 0.0}}),
+        ("check", {"n_max": 2, "tolerance_profile": {"exact": -1e-12}}),
+        ("check", {"n_max": 2, "tolerance_profile": {"accumulated": float("inf")}}),
+        ("check", {"n_max": 2, "tolerance_profile": {"accumulated": float("nan")}}),
+        ("check", {"n_max": 2, "tolerance_profile": {"exact": "1e-12"}}),
+        ("check", {"n_max": 2, "out": 1}),
+        ("phasedist", {"n_max": 2, "state": 5}),
+        ("operators", {"n_max": 2, "operator": ["a_m"]}),
+    ])
+    def test_invalid_config_file_values_exit_two(self, capsys, tmp_path, subcommand, values):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, subcommand, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
 
     def test_config_file_supplies_values_and_flags_override(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -193,6 +227,15 @@ class TestOutputFile:
         lines = target.read_text().strip().split("\n")
         assert lines[0] == "phi,probability"
         assert len(lines) == 17
+
+    def test_missing_directory_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "check", "--n-max", "1", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert str(target) in err
+        assert not target.parent.exists()
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
