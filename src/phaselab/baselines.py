@@ -11,16 +11,13 @@ use s + 1 = D.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
-from .fockspace import SingleModeWindow, Window
+from .fockspace import DEFAULT_TAIL_THRESHOLD, SingleModeWindow, Window, coherent_state
 from .formats import round_sig, window_to_json_dict
 from .operators import OperatorMatrix, _quadratures, _weighted_shift
-from .phase import PhaseDistribution, PhaseGrid, _phase_bras, circular_stats
-
-_TWO_PI = 2.0 * math.pi
+from .phase import _TWO_PI, PhaseDistribution, PhaseGrid, _born_distribution
 
 
 def build_sg_single(nw: SingleModeWindow) -> OperatorMatrix:
@@ -57,20 +54,14 @@ def restrict_to_upper(op: OperatorMatrix) -> OperatorMatrix:
 
 
 def single_mode_coherent(
-    nw: SingleModeWindow, alpha: complex, tail_threshold: float = 1e-8
+    nw: SingleModeWindow, alpha: complex, tail_threshold: float = DEFAULT_TAIL_THRESHOLD
 ) -> np.ndarray:
-    """Normalized coherent amplitudes over 0..n_max (plain vector)."""
-    alpha = complex(alpha)
-    amps = np.empty(nw.dimension, dtype=complex)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for m in range(1, nw.dimension):
-        amps[m] = amps[m - 1] * alpha / math.sqrt(m)
-    kept = float(np.sum(np.abs(amps) ** 2))
-    if 1.0 - kept > tail_threshold:
-        raise ValueError(
-            f"single-mode coherent tail {1.0 - kept:.3e} exceeds {tail_threshold:g}"
-        )
-    return amps / math.sqrt(kept)
+    """Normalized coherent amplitudes over 0..n_max (plain vector): the
+    upper branch of the doubled-space coherent state, so the recurrence,
+    the tail check and the renormalization are coherent_state's."""
+    window = Window.symmetric(nw.n_max)
+    state = coherent_state(window, "upper", alpha, tail_threshold)
+    return np.array(state.amplitudes[window.position(0):])
 
 
 def pegg_barnett_distribution(amplitudes: np.ndarray, grid: PhaseGrid) -> PhaseDistribution:
@@ -87,12 +78,7 @@ def pegg_barnett_distribution(amplitudes: np.ndarray, grid: PhaseGrid) -> PhaseD
             f"state dimension {amps.shape} must match grid size {d} "
             "for an orthonormal phase basis"
         )
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
-        raise ValueError("single-mode state must be normalized")
-    overlaps = _phase_bras(np.arange(d), grid.points) @ amps
-    probabilities = np.abs(overlaps) ** 2
-    mean, variance = circular_stats(grid.points, probabilities)
-    return PhaseDistribution(grid, probabilities, mean, variance)
+    return _born_distribution(amps, np.arange(d), grid)
 
 
 def compare_distributions(

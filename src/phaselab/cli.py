@@ -12,8 +12,6 @@ checks failed, 2 invalid configuration, 3 runtime numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -22,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fockspace import Boundary, Window, parse_state_spec
-from .formats import dump_json, format_sig, round_sig, window_to_json_dict
+from .formats import _csv_text, dump_json, round_sig, window_to_json_dict
 from .operators import (
     OPERATOR_BUILDERS,
     build_susskind_glogower,
@@ -189,17 +187,13 @@ def _run_check(config: RunConfig) -> tuple[str, int]:
     if config.output_format == "json":
         payload = dump_json([report_to_json_dict(r) for r in reports])
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check_id", "lo", "hi", "boundary", "wrap_phase",
-                         "max_deviation", "tolerance", "passed", "notes"])
-        for r in reports:
-            writer.writerow([
-                r.check_id, r.window.lo, r.window.hi, r.window.boundary.value,
-                format_sig(r.window.wrap_phase), format_sig(r.max_deviation),
-                format_sig(r.tolerance), "true" if r.passed else "false", r.notes,
-            ])
-        payload = buf.getvalue()
+        payload = _csv_text(
+            ["check_id", "lo", "hi", "boundary", "wrap_phase",
+             "max_deviation", "tolerance", "passed", "notes"],
+            ([r.check_id, r.window.lo, r.window.hi, r.window.boundary.value,
+              r.window.wrap_phase, r.max_deviation, r.tolerance,
+              "true" if r.passed else "false", r.notes] for r in reports),
+        )
     if failed:
         print(f"{len(failed)} check(s) failed: "
               f"{', '.join(r.check_id for r in failed)}", file=sys.stderr)
@@ -209,7 +203,7 @@ def _run_check(config: RunConfig) -> tuple[str, int]:
 def _run_spectrum(config: RunConfig) -> tuple[str, int]:
     operator = build_susskind_glogower(config.window)
     pairs = eigen_decompose_sg(operator)
-    rows = [(k, _eigenphase(value), value.real, value.imag)
+    rows = [(k, _eigenphase(value, config.window), value.real, value.imag)
             for k, (value, _vec) in enumerate(pairs)]
     if config.output_format == "json":
         payload = dump_json({
@@ -220,10 +214,7 @@ def _run_spectrum(config: RunConfig) -> tuple[str, int]:
             ],
         })
     else:
-        lines = ["k,phase,re,im"]
-        lines += [f"{k},{format_sig(p)},{format_sig(re)},{format_sig(im)}"
-                  for k, p, re, im in rows]
-        payload = "\n".join(lines) + "\n"
+        payload = _csv_text(["k", "phase", "re", "im"], rows)
     return payload, 0
 
 

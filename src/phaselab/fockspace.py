@@ -12,6 +12,7 @@ pure functions, so values can be shared freely between threads or tasks.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -142,6 +143,19 @@ class SingleModeWindow:
         return self.n_max + 1
 
 
+def _freeze(obj, name: str, dtype, shape: tuple) -> None:
+    """Replace the array attribute obj.<name> of a frozen dataclass by a
+    read-only copy of the given dtype, after checking its shape and that
+    every value is finite."""
+    values = np.array(getattr(obj, name), dtype=dtype)
+    if values.shape != shape:
+        raise ValueError(f"{name} shape {values.shape} does not match {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    values.setflags(write=False)
+    object.__setattr__(obj, name, values)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over a window, in storage (ascending label) order.
@@ -155,28 +169,13 @@ class StateVector:
     tail_weight: float = 0.0
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.window.dimension,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, window needs "
-                f"({self.window.dimension},)"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        _freeze(self, "amplitudes", complex, (self.window.dimension,))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
-
-    def normalized(self) -> StateVector:
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.window, self.amplitudes / n, self.tail_weight)
 
     def amplitude(self, n: int) -> complex:
         """Amplitude on basis label n."""
@@ -207,14 +206,20 @@ def coherent_state(
     Upper places photon count m at label m; lower places it at label
     -(m+1). The result is renormalized over the window and the weight
     lost to truncation is reported on the state; if that tail exceeds
-    tail_threshold the window is too small and TailWeightError is raised.
+    tail_threshold, or no weight at all is kept, the window is too small
+    and TailWeightError is raised.
     """
     pol = Polarization(pol)
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha.real:g}{alpha.imag:+g}i")
     m_cap = window.hi if pol is Polarization.UPPER else -window.lo - 1
 
     coeffs = np.empty(m_cap + 1, dtype=complex)
-    coeffs[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    try:
+        coeffs[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    except OverflowError:  # |alpha|^2 past the float range: every weight underflows
+        coeffs[0] = 0.0
     for m in range(1, m_cap + 1):
         coeffs[m] = coeffs[m - 1] * alpha / math.sqrt(m)
 
@@ -225,7 +230,7 @@ def coherent_state(
 
     kept = float(np.sum(np.abs(amps) ** 2))
     tail = max(1.0 - kept, 0.0)
-    if tail > tail_threshold:
+    if tail > tail_threshold or kept == 0.0:
         raise TailWeightError(tail, tail_threshold)
     if kept != 1.0:
         amps = amps / math.sqrt(kept)

@@ -6,6 +6,8 @@ identical numbers and reruns are byte-identical.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 from .fockspace import Window
@@ -20,6 +22,16 @@ def round_sig(x: float, digits: int = SIG_DIGITS) -> float:
 
 def format_sig(x: float, digits: int = SIG_DIGITS) -> str:
     return f"{float(x):.{digits}g}"
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """The one CSV writer: a header row, then rows whose floats are
+    rendered by format_sig and whose other values by str."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_sig(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def window_to_json_dict(window: Window) -> dict:

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fockspace import Boundary, SingleModeWindow, StateVector, Window, photon_count
+from .fockspace import Boundary, SingleModeWindow, StateVector, Window, _freeze, photon_count
 from .formats import round_sig, window_to_json_dict
 
 
@@ -73,14 +73,7 @@ class OperatorMatrix:
     label: str
 
     def __post_init__(self):
-        d = self.window.dimension
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (d, d):
-            raise ValueError(f"entries shape {m.shape} does not match window ({d},{d})")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator entries must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        _freeze(self, "entries", complex, (self.window.dimension,) * 2)
 
     def adjoint(self) -> OperatorMatrix:
         return OperatorMatrix(self.window, self.entries.conj().T, f"adjoint({self.label})")
@@ -283,7 +276,6 @@ def operator_to_json_dict(op: OperatorMatrix) -> dict:
         [int(i + lo), int(j + lo), round_sig(op.entries[i, j].real), round_sig(op.entries[i, j].imag)]
         for i, j in zip(rows, cols)
     ]
-    entries.sort(key=lambda t: (t[0], t[1]))
     return {
         "window": window_to_json_dict(op.window),
         "label": op.label,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import Boundary, StateVector, Window
-from .formats import format_sig, round_sig, window_to_json_dict
+from .fockspace import Boundary, StateVector, Window, _freeze
+from .formats import _csv_text, round_sig, window_to_json_dict
 from .operators import OperatorMatrix, _require_same_window
 
 PROBABILITY_TOL = 1e-10
@@ -39,11 +39,7 @@ class PhaseGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.shape != (self.window.dimension,):
-            raise ValueError("grid must hold exactly one point per basis label")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        _freeze(self, "points", float, (self.window.dimension,))
         object.__setattr__(self, "phi0", float(self.phi0))
 
 
@@ -64,11 +60,7 @@ class PhaseDistribution:
     circular_variance: float
 
     def __post_init__(self):
-        p = np.array(self.probabilities, dtype=float)
-        if p.shape != self.grid.points.shape:
-            raise ValueError("one probability per grid point required")
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
+        _freeze(self, "probabilities", float, self.grid.points.shape)
 
 
 def phase_state(window: Window, phi: float) -> StateVector:
@@ -77,9 +69,8 @@ def phase_state(window: Window, phi: float) -> StateVector:
     On-grid values of phi give the orthonormal phase basis; other values
     give the interpolating states.
     """
-    half_labels = window.indices() + 0.5
-    amps = np.exp(1j * half_labels * phi) / math.sqrt(window.dimension)
-    return StateVector(window, amps)
+    bra = _phase_bras(window.indices() + 0.5, np.array([phi]))[0]
+    return StateVector(window, bra.conj())
 
 
 def _phase_bras(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -96,25 +87,29 @@ def circular_stats(points: np.ndarray, probabilities: np.ndarray) -> tuple[float
     return math.atan2(resultant.imag, resultant.real), 1.0 - abs(resultant)
 
 
-def phase_distribution(state: StateVector, grid: PhaseGrid) -> PhaseDistribution:
-    """p_k = |<phi_k|state>|^2 over the grid's orthonormal phase states."""
-    _require_same_window(state.window, grid.window, "phase distribution")
-    if not state.is_normalized(PROBABILITY_TOL):
-        raise ValueError(
-            f"state norm {state.norm():.12g} is not 1 within {PROBABILITY_TOL:g}"
-        )
-    overlaps = _phase_bras(state.window.indices() + 0.5, grid.points) @ state.amplitudes
-    probabilities = np.abs(overlaps) ** 2
+def _born_distribution(amplitudes: np.ndarray, labels: np.ndarray, grid: PhaseGrid) -> PhaseDistribution:
+    """Born rule p_k = |<phi_k|psi>|^2 of unit-norm amplitudes over the
+    given basis labels, with the circular statistics of the result."""
+    norm = float(np.linalg.norm(amplitudes))
+    if not abs(norm - 1.0) <= PROBABILITY_TOL:
+        raise ValueError(f"state norm {norm:.12g} is not 1 within {PROBABILITY_TOL:g}")
+    probabilities = np.abs(_phase_bras(labels, grid.points) @ amplitudes) ** 2
     mean, variance = circular_stats(grid.points, probabilities)
     return PhaseDistribution(grid, probabilities, mean, variance)
 
 
-def _eigenphase(value: complex) -> float:
-    """Angle of an eigenvalue in [0, 2 pi). An eigenvalue sitting exactly
-    on phase 0 may round to just below 2 pi; it is folded back to 0 so
-    ordering starts at the origin."""
+def phase_distribution(state: StateVector, grid: PhaseGrid) -> PhaseDistribution:
+    """p_k = |<phi_k|state>|^2 over the grid's orthonormal phase states."""
+    _require_same_window(state.window, grid.window, "phase distribution")
+    return _born_distribution(state.amplitudes, state.window.indices() + 0.5, grid)
+
+
+def _eigenphase(value: complex, window: Window) -> float:
+    """Angle in [0, 2 pi) of an eigenvalue of the window's cyclic ladder.
+    Only a wrap_phase that is a multiple of 2 pi gives an exact eigenphase
+    0, which may round to just below 2 pi; that one is folded back to 0."""
     phase = float(np.angle(value) % _TWO_PI)
-    return 0.0 if phase > _TWO_PI - 1e-9 else phase
+    return 0.0 if window.wrap_phase % _TWO_PI == 0.0 and phase > _TWO_PI - 1e-9 else phase
 
 
 def eigen_decompose_sg(op: OperatorMatrix) -> list[tuple[complex, StateVector]]:
@@ -131,7 +126,7 @@ def eigen_decompose_sg(op: OperatorMatrix) -> list[tuple[complex, StateVector]]:
             "the open-mode operator is defective at the truncation edge"
         )
     values, vectors = np.linalg.eig(op.entries)
-    order = np.argsort([_eigenphase(value) for value in values])
+    order = np.argsort([_eigenphase(value, op.window) for value in values])
 
     pos0 = op.window.position(0)
     pairs = []
@@ -171,10 +166,7 @@ def distribution_to_csv(dist: PhaseDistribution) -> str:
     Grid points are generated ascending from phi0, so enumeration order
     is already ascending phi.
     """
-    lines = ["phi,probability"]
-    for phi, p in zip(dist.grid.points, dist.probabilities):
-        lines.append(f"{format_sig(phi)},{format_sig(p)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(["phi", "probability"], zip(dist.grid.points, dist.probabilities))
 
 
 def distribution_to_json_dict(dist: PhaseDistribution) -> dict:

@@ -16,7 +16,7 @@ from phaselab.baselines import (
     restrict_to_upper,
     single_mode_coherent,
 )
-from phaselab.fockspace import Boundary, Window, coherent_state, fock_state
+from phaselab.fockspace import Boundary, TailWeightError, Window, coherent_state, fock_state
 from phaselab.operators import (
     NumberKind,
     build_helicity,
@@ -130,6 +130,13 @@ class TestPeggBarnettDistribution:
         grid = phase_grid(Window(-1, 6))
         with pytest.raises(ValueError):
             pegg_barnett_distribution(np.full(8, 0.1, dtype=complex), grid)
+
+    def test_single_mode_coherent_is_the_upper_coherent_branch(self):
+        w = Window.symmetric(20)
+        doubled = coherent_state(w, "upper", 0.9 - 0.4j).amplitudes[w.position(0):]
+        assert np.array_equal(single_mode_coherent(SingleModeWindow(20), 0.9 - 0.4j), doubled)
+        with pytest.raises(TailWeightError):
+            single_mode_coherent(SingleModeWindow(3), 3.0)
 
     @pytest.mark.parametrize("n_max,alpha,bound", [(63, 1.0, 1e-14), (15, 0.5, 1e-11)])
     def test_doubled_space_agrees_for_upper_states(self, n_max, alpha, bound):

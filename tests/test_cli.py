@@ -75,6 +75,13 @@ class TestSpectrumCommand:
         assert len(payload["eigenvalues"]) == 4
         assert payload["eigenvalues"][1]["k"] == 1
 
+    def test_phase_just_below_two_pi_is_not_folded_to_zero(self, capsys):
+        # the eigenphases are (wrap + 2 pi k)/2 mod 2 pi; only an exact 0 is folded
+        code, out, _ = run_cli(capsys, "spectrum", "--n-max", "0", "--wrap-phase=-1e-10",
+                               "--format", "csv")
+        assert code == 0
+        assert out.split("\n")[1:3] == ["0,3.14159265354,-1,5e-11", "1,6.28318530713,1,-5e-11"]
+
     def test_open_boundary_refused(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--n-max", "3", "--boundary", "open")
         assert code == 2
@@ -156,6 +163,11 @@ class TestConfigResolution:
         ["phasedist", "--n-max", "2", "--state", "vacuum:sym", "--phi0=-inf"],
         ["check", "--n-max", "3", "--wrap-phase", "inf"],
         ["spectrum", "--n-max", "3", "--wrap-phase", "nan"],
+        ["phasedist", "--n-max", "3", "--state", "coherent:upper,alpha=1e200+0i"],
+        ["phasedist", "--n-max", "3", "--state", "coherent:lower,alpha=1e155-1e155i"],
+        ["phasedist", "--n-max", "3", "--state", "coherent:upper,alpha=nan+0i"],
+        ["phasedist", "--n-max", "3", "--state", "coherent:lower,alpha=inf+0i"],
+        ["phasedist", "--n-max", "3", "--state", "coherent:upper,alpha=0-infi"],
     ])
     def test_invalid_configurations_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -135,6 +135,13 @@ class TestCoherentState:
         w = Window.symmetric(40)
         assert coherent_state(w, "upper", 2.0).is_normalized()
 
+    @pytest.mark.parametrize("alpha", [40.0, 1e200, 1e300 + 1e300j])
+    def test_no_kept_weight_is_a_tail_error_at_any_threshold(self, alpha):
+        # |alpha|^2 that underflows e^{-|alpha|^2/2} or overflows the float range
+        with pytest.raises(TailWeightError) as info:
+            coherent_state(Window.symmetric(3), "upper", alpha, tail_threshold=1.0)
+        assert info.value.tail_weight == 1.0
+
 
 def test_vacuum_symmetric(open_window):
     state = vacuum_symmetric(open_window)

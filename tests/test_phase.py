@@ -21,6 +21,8 @@ from phaselab.operators import (
     build_susskind_glogower,
 )
 from phaselab.phase import (
+    PhaseDistribution,
+    PhaseGrid,
     circular_stats,
     cosine_sine_expectation,
     distribution_to_csv,
@@ -40,6 +42,18 @@ def test_grid_points():
     assert len(grid.points) == 8
     assert grid.points[0] == 0.5
     assert np.allclose(np.diff(grid.points), 2 * math.pi / 8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grids_and_distributions_must_be_finite(bad):
+    w = Window.symmetric(1)
+    with pytest.raises(ValueError, match="points must be finite"):
+        PhaseGrid(w, 0.0, [0.0, 1.0, bad, 3.0])
+    grid = phase_grid(w)
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        PhaseDistribution(grid, [0.25, 0.25, bad, 0.25], 0.0, 0.0)
+    with pytest.raises(ValueError, match="shape"):
+        PhaseDistribution(grid, [0.5, 0.5], 0.0, 0.0)
 
 
 class TestPhaseState:

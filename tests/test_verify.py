@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from phaselab import verify
 from phaselab.fockspace import Boundary, Window
-from phaselab.operators import NumberKind, build_number, build_susskind_glogower, commutator
+from phaselab.operators import (
+    NumberKind,
+    OperatorMatrix,
+    build_number,
+    build_susskind_glogower,
+    commutator,
+)
 from phaselab.verify import (
     CHECK_IDS,
     CheckReport,
@@ -51,6 +58,32 @@ def test_pass_flag_is_consistent_with_the_numbers():
 def test_every_report_documents_its_identity():
     for r in run_checks(Window.symmetric(5, Boundary.OPEN)):
         assert len(r.notes) > 20
+
+
+def _perturbed(builder, row, col):
+    """builder, with the entry at basis labels (row, col) moved by 1e-9."""
+    def build(window):
+        op = builder(window)
+        entries = np.array(op.entries)
+        entries[window.position(row), window.position(col)] += 1e-9
+        return OperatorMatrix(window, entries, op.label)
+    return build
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CYCLIC])
+@pytest.mark.parametrize("builder,row,col,owners", [
+    ("build_susskind_glogower", -1, 0, {"C04", "C06", "C08"}),
+    ("build_a_m", 1, 2, {"C02"}),
+    ("build_a_v", -1, 0, {"C01"}),
+    ("build_polarization_swap", -1, 0, {"C12"}),
+])
+def test_a_perturbed_operator_fails_exactly_its_owning_checks(
+    monkeypatch, boundary, builder, row, col, owners
+):
+    # the suite fails closed: a 1e-9 error in one entry cannot pass unseen
+    monkeypatch.setattr(verify, builder, _perturbed(getattr(verify, builder), row, col))
+    reports = run_checks(Window.symmetric(4, boundary))
+    assert {r.check_id for r in reports if not r.passed} == owners
 
 
 class TestNumberKindAdjudication:
