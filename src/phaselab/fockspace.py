@@ -215,18 +215,22 @@ def coherent_state(
         raise ValueError(f"alpha must be finite, got {alpha.real:g}{alpha.imag:+g}i")
     m_cap = window.hi if pol is Polarization.UPPER else -window.lo - 1
 
-    coeffs = np.empty(m_cap + 1, dtype=complex)
-    try:
-        coeffs[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    except OverflowError:  # |alpha|^2 past the float range: every weight underflows
-        coeffs[0] = 0.0
-    for m in range(1, m_cap + 1):
-        coeffs[m] = coeffs[m - 1] * alpha / math.sqrt(m)
+    m = np.arange(m_cap + 1)
+    if alpha == 0:
+        coeffs = (m == 0).astype(complex)
+    else:
+        # e^{-|alpha|^2/2} |alpha|^m / sqrt(m!) in log space, so no factor
+        # underflows on its own before the product is formed
+        log_factorial = np.concatenate(([0.0], np.cumsum(np.log(m[1:]))))
+        try:
+            log_mag = m * math.log(abs(alpha)) - abs(alpha) ** 2 / 2.0 - 0.5 * log_factorial
+        except OverflowError:  # |alpha|^2 past the float range: every weight underflows
+            log_mag = np.full(m_cap + 1, -math.inf)
+        coeffs = np.exp(log_mag) * np.exp(1j * m * cmath.phase(alpha))
 
+    labels = m if pol is Polarization.UPPER else -(m + 1)
     amps = np.zeros(window.dimension, dtype=complex)
-    for m in range(m_cap + 1):
-        label = m if pol is Polarization.UPPER else -(m + 1)
-        amps[window.position(label)] = coeffs[m]
+    amps[labels - window.lo] = coeffs
 
     kept = float(np.sum(np.abs(amps) ** 2))
     tail = max(1.0 - kept, 0.0)

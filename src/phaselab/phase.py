@@ -11,7 +11,7 @@ non-orthogonal interpolating states used by higher-resolution scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,9 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True, eq=False)
 class PhaseGrid:
-    """D equally spaced phase points covering one 2 pi period.
+    """D equally spaced phase points phi0 + 2 pi k / D covering one 2 pi
+    period, derived from the window's dimension and phi0. The uniform
+    spacing is what lets the Born rule over the grid be one FFT.
 
     For a cyclic window with wrap_phase 0 the grid with phi0 = 0
     enumerates the exact eigenphases of the ladder operator E.
@@ -36,17 +38,17 @@ class PhaseGrid:
 
     window: Window
     phi0: float
-    points: np.ndarray
+    points: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _freeze(self, "points", float, (self.window.dimension,))
         object.__setattr__(self, "phi0", float(self.phi0))
+        d = self.window.dimension
+        object.__setattr__(self, "points", self.phi0 + _TWO_PI * np.arange(d) / d)
+        _freeze(self, "points", float, (d,))
 
 
 def phase_grid(window: Window, phi0: float = 0.0) -> PhaseGrid:
-    d = window.dimension
-    points = phi0 + _TWO_PI * np.arange(d) / d
-    return PhaseGrid(window, phi0, points)
+    return PhaseGrid(window, phi0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +91,19 @@ def circular_stats(points: np.ndarray, probabilities: np.ndarray) -> tuple[float
 
 def _born_distribution(amplitudes: np.ndarray, labels: np.ndarray, grid: PhaseGrid) -> PhaseDistribution:
     """Born rule p_k = |<phi_k|psi>|^2 of unit-norm amplitudes over the
-    given basis labels, with the circular statistics of the result."""
+    given consecutive basis labels, with the circular statistics of the
+    result.
+
+    On the grid phi_k = phi0 + 2 pi k / D the overlap with label
+    l_j = l_0 + j is sum_j c_j e^{-i l_j phi0} e^{-2 pi i jk/D} times the
+    unimodular factor e^{-2 pi i l_0 k/D} / sqrt(D): a DFT, so one FFT
+    gives every probability in O(D log D).
+    """
     norm = float(np.linalg.norm(amplitudes))
     if not abs(norm - 1.0) <= PROBABILITY_TOL:
         raise ValueError(f"state norm {norm:.12g} is not 1 within {PROBABILITY_TOL:g}")
-    probabilities = np.abs(_phase_bras(labels, grid.points) @ amplitudes) ** 2
+    overlaps = np.fft.fft(amplitudes * np.exp(-1j * labels * grid.phi0))
+    probabilities = np.abs(overlaps) ** 2 / len(labels)
     mean, variance = circular_stats(grid.points, probabilities)
     return PhaseDistribution(grid, probabilities, mean, variance)
 
@@ -107,9 +117,13 @@ def phase_distribution(state: StateVector, grid: PhaseGrid) -> PhaseDistribution
 def _eigenphase(value: complex, window: Window) -> float:
     """Angle in [0, 2 pi) of an eigenvalue of the window's cyclic ladder.
     Only a wrap_phase that is a multiple of 2 pi gives an exact eigenphase
-    0, which may round to just below 2 pi; that one is folded back to 0."""
+    0, which may round to just below 2 pi; that one is folded back to 0.
+    Any other angle a hair below 0 can round up to 2 pi in the fold; it is
+    kept as the largest float below 2 pi, since it is not 0."""
     phase = float(np.angle(value) % _TWO_PI)
-    return 0.0 if window.wrap_phase % _TWO_PI == 0.0 and phase > _TWO_PI - 1e-9 else phase
+    if window.wrap_phase % _TWO_PI == 0.0 and phase > _TWO_PI - 1e-9:
+        return 0.0
+    return math.nextafter(_TWO_PI, 0.0) if phase == _TWO_PI else phase
 
 
 def eigen_decompose_sg(op: OperatorMatrix) -> list[tuple[complex, StateVector]]:

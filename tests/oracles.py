@@ -13,10 +13,16 @@ import numpy as np
 
 
 def coherent_amplitudes(alpha, m_max):
-    """Coherent amplitudes e^{-|a|^2/2} a^m / sqrt(m!) for m = 0..m_max."""
-    amps = [complex(math.exp(-abs(alpha) ** 2 / 2.0))]
-    for m in range(1, m_max + 1):
-        amps.append(amps[-1] * alpha / math.sqrt(m))
+    """Coherent amplitudes e^{-|a|^2/2} a^m / sqrt(m!) for m = 0..m_max,
+    each from its own closed form in log space (math.lgamma for log m!),
+    so a large |a| does not underflow the e^{-|a|^2/2} prefactor."""
+    if alpha == 0:
+        return np.array([1.0] + [0.0] * m_max, dtype=complex)
+    r, theta = abs(alpha), cmath.phase(alpha)
+    amps = []
+    for m in range(m_max + 1):
+        log_mag = -r * r / 2.0 + m * math.log(r) - 0.5 * math.lgamma(m + 1)
+        amps.append(math.exp(log_mag) * cmath.exp(1j * m * theta))
     return np.array(amps, dtype=complex)
 
 
@@ -35,6 +41,12 @@ def single_mode_overlap(amplitudes, phi):
     for n, c in enumerate(amplitudes):
         total += c * cmath.exp(-1j * n * phi)
     return total
+
+
+def dense_phase_bras(labels, points):
+    """The dense overlap matrix of a phase grid: row k is the bra
+    e^{-i labels phi_k} / sqrt(D), so |bras @ psi|^2 is the Born rule."""
+    return np.exp(-1j * np.outer(points, labels)) / math.sqrt(len(labels))
 
 
 def circular_mean_variance(angles, weights):

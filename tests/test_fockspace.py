@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from phaselab.fockspace import (
     Boundary,
     Polarization,
@@ -134,6 +135,23 @@ class TestCoherentState:
     def test_normalized_over_window(self):
         w = Window.symmetric(40)
         assert coherent_state(w, "upper", 2.0).is_normalized()
+
+    @pytest.mark.parametrize(
+        "alpha, n_max, bound",
+        [(1.5 + 0.5j, 63, 1e-15), (2.0 - 1.0j, 1023, 1e-15), (-4.0j, 1023, 1e-15),
+         (3.9 + 0.1j, 1023, 2e-15),
+         # e^{-|alpha|^2/2} alone underflows; the product of the factors does not
+         (39.0, 4000, 2e-12)],
+    )
+    def test_amplitudes_match_the_closed_form(self, alpha, n_max, bound):
+        w = Window.symmetric(n_max)
+        expected = oracles.coherent_amplitudes(alpha, n_max)
+        expected = expected / np.linalg.norm(expected)
+        upper = coherent_state(w, "upper", alpha)
+        lower = coherent_state(w, "lower", alpha)
+        assert upper.tail_weight <= 1e-12
+        assert np.max(np.abs(upper.amplitudes[n_max + 1:] - expected)) <= bound
+        assert np.max(np.abs(lower.amplitudes[n_max::-1] - expected)) <= bound
 
     @pytest.mark.parametrize("alpha", [40.0, 1e200, 1e300 + 1e300j])
     def test_no_kept_weight_is_a_tail_error_at_any_threshold(self, alpha):

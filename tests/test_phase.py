@@ -7,6 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from phaselab.baselines import (
+    SingleModeWindow,
+    pegg_barnett_distribution,
+    single_mode_coherent,
+)
 from phaselab.fockspace import (
     Boundary,
     StateVector,
@@ -23,6 +28,7 @@ from phaselab.operators import (
 from phaselab.phase import (
     PhaseDistribution,
     PhaseGrid,
+    _eigenphase,
     circular_stats,
     cosine_sine_expectation,
     distribution_to_csv,
@@ -48,7 +54,7 @@ def test_grid_points():
 def test_grids_and_distributions_must_be_finite(bad):
     w = Window.symmetric(1)
     with pytest.raises(ValueError, match="points must be finite"):
-        PhaseGrid(w, 0.0, [0.0, 1.0, bad, 3.0])
+        PhaseGrid(w, bad)
     grid = phase_grid(w)
     with pytest.raises(ValueError, match="probabilities must be finite"):
         PhaseDistribution(grid, [0.25, 0.25, bad, 0.25], 0.0, 0.0)
@@ -232,6 +238,72 @@ class TestPhaseDistribution:
         d = w.dimension
         reflected = p[(d - np.arange(d)) % d]
         assert np.max(np.abs(q - reflected)) < 1e-10
+
+
+def _random_unit(rng, d):
+    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return amps / np.linalg.norm(amps)
+
+
+def _doubled_states(w, rng):
+    return [
+        StateVector(w, _random_unit(rng, w.dimension)),
+        coherent_state(w, "upper", 1.5 + 0.5j, tail_threshold=1.0),
+        coherent_state(w, "lower", 2.0 - 1.0j, tail_threshold=1.0),
+        fock_state(w, w.hi),
+        fock_state(w, w.lo),
+    ]
+
+
+def _single_mode_states(d, rng):
+    fock = np.zeros(d, dtype=complex)
+    fock[d // 2] = 1.0
+    return [
+        _random_unit(rng, d),
+        single_mode_coherent(SingleModeWindow(d - 1), 1.5 + 0.5j, tail_threshold=1.0),
+        fock,
+    ]
+
+
+def _assert_matches_dense(dist, bras, amplitudes, bound):
+    dense = np.abs(bras @ amplitudes) ** 2
+    assert np.max(np.abs(dist.probabilities - dense)) <= bound
+    mean, variance = oracles.circular_mean_variance(dist.grid.points, dense)
+    assert abs(dist.circular_variance - variance) <= 1e-12
+    # the mean is compared through the resultant (1 - variance) e^{i mean}:
+    # a near-uniform distribution has a short resultant whose angle is noise
+    resultant = (1.0 - dist.circular_variance) * cmath.exp(1j * dist.circular_mean)
+    assert abs(resultant - (1.0 - variance) * cmath.exp(1j * mean)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "phi0, bound",
+    [(0.0, 1e-14), (0.3, 1e-14), (6.2, 1e-14), (-7.5, 1e-14), (2 * math.pi, 1e-14),
+     # both routes lose phase to label * phi0 ~ 1e5 rad here
+     (100.0, 1e-12)],
+)
+@pytest.mark.parametrize("lo, hi", [(-1, 0), (-3, 9), (-64, 63), (-1500, 547), (-1024, 1023)])
+def test_fft_route_matches_the_dense_overlap(lo, hi, phi0, bound):
+    w = Window(lo, hi)
+    grid = phase_grid(w, phi0)
+    rng = np.random.default_rng(w.dimension)
+    bras = oracles.dense_phase_bras(w.indices() + 0.5, grid.points)
+    for state in _doubled_states(w, rng):
+        dist = phase_distribution(state, grid)
+        _assert_matches_dense(dist, bras, state.amplitudes, bound)
+    bras = oracles.dense_phase_bras(np.arange(w.dimension), grid.points)
+    for amps in _single_mode_states(w.dimension, rng):
+        dist = pegg_barnett_distribution(amps, grid)
+        _assert_matches_dense(dist, bras, amps, bound)
+
+
+def test_eigenphase_stays_below_two_pi():
+    # the eigenvalue sits a hair below angle 0, and the fold rounds it up
+    value = complex(math.cos(-5e-18), math.sin(-5e-18))
+    w = Window.symmetric(0, Boundary.CYCLIC, -1e-17)
+    assert _eigenphase(value, w) == math.nextafter(2 * math.pi, 0.0)
+    # a wrap phase that is a multiple of 2 pi makes it the exact phase 0
+    assert _eigenphase(value, Window.symmetric(0, Boundary.CYCLIC)) == 0.0
 
 
 def test_circular_stats_point_mass():
