@@ -15,7 +15,7 @@ import cmath
 import numpy as np
 
 from .fockspace import DEFAULT_TAIL_THRESHOLD, SingleModeWindow, Window, coherent_state
-from .formats import round_sig, window_to_json_dict
+from .formats import window_to_json_dict
 from .operators import OperatorMatrix, _quadratures, _weighted_shift
 from .phase import _TWO_PI, PhaseDistribution, PhaseGrid, _born_distribution
 
@@ -110,7 +110,7 @@ def comparison_report(
     return {
         "baseline": baseline,
         "window": window_to_json_dict(window),
-        "sup_diff": round_sig(sup_diff),
-        "l1_diff": round_sig(l1_diff),
+        "sup_diff": sup_diff,
+        "l1_diff": l1_diff,
         "state_spec": state_spec,
     }

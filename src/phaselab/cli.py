@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fockspace import Boundary, Window, parse_state_spec
-from .formats import _csv_text, dump_json, round_sig, window_to_json_dict
+from .formats import csv_text, json_text, window_to_json_dict
 from .operators import (
     OPERATOR_BUILDERS,
     build_susskind_glogower,
@@ -63,8 +63,16 @@ class RunConfig:
     operator_name: str | None = None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so that main prints it on one
+    stderr line and returns 2 like any other invalid configuration."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phaselab",
         description="Finite-window laboratory for the polarization-doubled "
         "photon phase operator.",
@@ -185,9 +193,9 @@ def _run_check(config: RunConfig) -> tuple[str, int]:
     reports = run_checks(config.window, config.profile)
     failed = [r for r in reports if not r.passed]
     if config.output_format == "json":
-        payload = dump_json([report_to_json_dict(r) for r in reports])
+        payload = json_text([report_to_json_dict(r) for r in reports])
     else:
-        payload = _csv_text(
+        payload = csv_text(
             ["check_id", "lo", "hi", "boundary", "wrap_phase",
              "max_deviation", "tolerance", "passed", "notes"],
             ([r.check_id, r.window.lo, r.window.hi, r.window.boundary.value,
@@ -203,18 +211,16 @@ def _run_check(config: RunConfig) -> tuple[str, int]:
 def _run_spectrum(config: RunConfig) -> tuple[str, int]:
     operator = build_susskind_glogower(config.window)
     pairs = eigen_decompose_sg(operator)
+    header = ["k", "phase", "re", "im"]
     rows = [(k, _eigenphase(value, config.window), value.real, value.imag)
             for k, (value, _vec) in enumerate(pairs)]
     if config.output_format == "json":
-        payload = dump_json({
+        payload = json_text({
             "window": window_to_json_dict(config.window),
-            "eigenvalues": [
-                {"k": k, "phase": round_sig(p), "re": round_sig(re), "im": round_sig(im)}
-                for k, p, re, im in rows
-            ],
+            "eigenvalues": [dict(zip(header, row)) for row in rows],
         })
     else:
-        payload = _csv_text(["k", "phase", "re", "im"], rows)
+        payload = csv_text(header, rows)
     return payload, 0
 
 
@@ -225,7 +231,7 @@ def _run_phasedist(config: RunConfig) -> tuple[str, int]:
     grid = phase_grid(config.window, config.phi0)
     dist = phase_distribution(state, grid)
     if config.output_format == "json":
-        payload = dump_json(distribution_to_json_dict(dist))
+        payload = json_text(distribution_to_json_dict(dist))
     else:
         payload = distribution_to_csv(dist)
     return payload, 0
@@ -243,7 +249,7 @@ def _run_operators(config: RunConfig) -> tuple[str, int]:
         ) from None
     if config.output_format != "json":
         raise ValueError("the operator dump is JSON only; use --format json")
-    return dump_json(operator_to_json_dict(builder(config.window))), 0
+    return json_text(operator_to_json_dict(builder(config.window))), 0
 
 
 _RUNNERS = {
@@ -255,10 +261,8 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
+        config = _resolve_config(build_parser().parse_args(argv))
         payload, exit_code = _RUNNERS[config.subcommand](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
-"""Shared output formatting: fixed significant digits and window JSON.
+"""The one place where output numbers become text.
 
-All file outputs round through round_sig so that CSV and JSON encode
-identical numbers and reruns are byte-identical.
+Payload builders hand plain, full-precision Python values to csv_text or
+json_text. Both writers render every float at 12 significant digits, so
+CSV and JSON encode identical numbers and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,25 +13,31 @@ import json
 
 from .fockspace import Window
 
-SIG_DIGITS = 12
+
+def _rounded(value):
+    """Copy of a JSON payload with every float rounded to 12 significant
+    digits through decimal text."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
 
 
-def round_sig(x: float, digits: int = SIG_DIGITS) -> float:
-    """Round to a fixed number of significant digits via decimal text."""
-    return float(f"{float(x):.{digits}g}")
+def json_text(payload) -> str:
+    """The one JSON writer: two-space indent, one trailing newline."""
+    return json.dumps(_rounded(payload), indent=2) + "\n"
 
 
-def format_sig(x: float, digits: int = SIG_DIGITS) -> str:
-    return f"{float(x):.{digits}g}"
-
-
-def _csv_text(header: list[str], rows) -> str:
+def csv_text(header: list[str], rows) -> str:
     """The one CSV writer: a header row, then rows whose floats are
-    rendered by format_sig and whose other values by str."""
+    written at 12 significant digits and whose other values by str."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([format_sig(v) if isinstance(v, float) else v for v in row] for row in rows)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -39,10 +46,5 @@ def window_to_json_dict(window: Window) -> dict:
         "lo": window.lo,
         "hi": window.hi,
         "boundary": window.boundary.value,
-        "wrap_phase": round_sig(window.wrap_phase),
+        "wrap_phase": window.wrap_phase,
     }
-
-
-def dump_json(obj) -> str:
-    """Canonical JSON rendering used for every JSON output."""
-    return json.dumps(obj, indent=2) + "\n"

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .fockspace import Boundary, SingleModeWindow, StateVector, Window, _freeze, photon_count
-from .formats import round_sig, window_to_json_dict
+from .formats import window_to_json_dict
 
 
 class WindowMismatchError(ValueError):
@@ -270,14 +270,12 @@ OPERATOR_BUILDERS = {
 def operator_to_json_dict(op: OperatorMatrix) -> dict:
     """Dump format: nonzero entries as [row_label, col_label, re, im],
     sorted by (row, col), with rows/cols as basis labels, not positions."""
-    lo = op.window.lo
     rows, cols = np.nonzero(op.entries)
-    entries = [
-        [int(i + lo), int(j + lo), round_sig(op.entries[i, j].real), round_sig(op.entries[i, j].imag)]
-        for i, j in zip(rows, cols)
-    ]
+    values = op.entries[rows, cols]
+    entries = zip((rows + op.window.lo).tolist(), (cols + op.window.lo).tolist(),
+                  values.real.tolist(), values.imag.tolist())
     return {
         "window": window_to_json_dict(op.window),
         "label": op.label,
-        "entries": entries,
+        "entries": [list(entry) for entry in entries],
     }

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import build_cosine_sine_single, build_sg_single, restrict_to_upper
 from .fockspace import Boundary, SingleModeWindow, Window
-from .formats import round_sig, window_to_json_dict
+from .formats import window_to_json_dict
 from .operators import (
     NumberKind,
     build_a_m,
@@ -49,16 +49,9 @@ class ToleranceProfile:
 
     @classmethod
     def named(cls, name: str) -> ToleranceProfile:
-        try:
-            return _PROFILES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown tolerance profile {name!r}; available: "
-                f"{sorted(_PROFILES)}"
-            ) from None
-
-
-_PROFILES = {"default": ToleranceProfile()}
+        if name != "default":
+            raise ValueError(f"unknown tolerance profile {name!r}; available: ['default']")
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -75,8 +68,8 @@ def report_to_json_dict(report: CheckReport) -> dict:
     return {
         "check_id": report.check_id,
         "window": window_to_json_dict(report.window),
-        "max_deviation": round_sig(report.max_deviation),
-        "tolerance": round_sig(report.tolerance),
+        "max_deviation": report.max_deviation,
+        "tolerance": report.tolerance,
         "passed": report.passed,
         "notes": report.notes,
     }
@@ -93,10 +86,7 @@ def _maxabs(matrix) -> float:
 
 
 def _projector(window: Window, n: int) -> np.ndarray:
-    d = window.dimension
-    p = np.zeros((d, d), dtype=complex)
-    p[window.position(n), window.position(n)] = 1.0
-    return p
+    return np.diag(window.indices() == n)
 
 
 def _check_c01(window, tol):
@@ -122,12 +112,9 @@ def _commutator_a_m(window):
 
 
 def _check_c02(window, tol):
-    comm = _commutator_a_m(window)
-    dev = 0.0
-    for n in range(window.lo + 1, window.hi):
-        expected = 1.0 if n >= 1 else (-1.0 if n <= -2 else 0.0)
-        p = window.position(n)
-        dev = max(dev, abs(comm[p, p] - expected))
+    interior = window.indices()[1:-1]
+    expected = np.where(interior >= 1, 1.0, np.where(interior <= -2, -1.0, 0.0))
+    dev = np.max(np.abs(np.diag(_commutator_a_m(window))[1:-1] - expected), initial=0.0)
     return _report(
         "C02", window, dev, tol.exact,
         "lowering-chain commutator diagonal: +1 on the interior upper "
@@ -167,10 +154,6 @@ def _check_c04(window, tol):
 
 def _check_c05(window, tol):
     e = build_susskind_glogower(window)
-    chain = np.array(e.entries)
-    if window.boundary is Boundary.CYCLIC:
-        chain[window.position(window.hi), window.position(window.lo)] = 0.0
-
     labels = window.indices()
     sign_for = {
         NumberKind.LABEL: np.ones(window.dimension),
@@ -179,11 +162,10 @@ def _check_c05(window, tol):
     }
     residuals = {}
     for kind, signs in sign_for.items():
-        comm = commutator(e, build_number(window, kind)).entries
+        residual = commutator(e, build_number(window, kind)).entries - e.entries * signs
         if window.boundary is Boundary.CYCLIC:
-            comm = np.array(comm)
-            comm[window.position(window.hi), window.position(window.lo)] = 0.0
-        residuals[kind] = _maxabs(comm - chain * signs[np.newaxis, :])
+            residual[-1, 0] = 0.0  # the wrap element <hi|E|lo>
+        residuals[kind] = _maxabs(residual)
     dev = max(residuals.values())
     notes = (
         "number-kind adjudication of the ladder commutator, interior "

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -168,12 +170,26 @@ class TestConfigResolution:
         ["phasedist", "--n-max", "3", "--state", "coherent:upper,alpha=nan+0i"],
         ["phasedist", "--n-max", "3", "--state", "coherent:lower,alpha=inf+0i"],
         ["phasedist", "--n-max", "3", "--state", "coherent:upper,alpha=0-infi"],
+        [],
+        ["bogus"],
+        ["check", "--n-max", "abc"],
+        ["check", "--n-max", "3", "--boundary", "weird"],
+        ["check", "--n-max", "3", "--colour", "red"],
+        ["phasedist", "--n-max", "3", "--state", "fock:0", "--phi0", "1e308"],
+        ["phasedist", "--n-max", "3", "--state", "fock:0", "--phi0", "1e300"],
+        ["check", "--n-max", "3", "--wrap-phase", "1e17"],
     ])
     def test_invalid_configurations_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
+
+    def test_help_still_prints_usage_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: phaselab check")
 
     @pytest.mark.parametrize("subcommand,values", [
         ("check", {"n_max": True}),
@@ -226,6 +242,68 @@ class TestConfigResolution:
     def test_config_file_missing(self, capsys):
         code, _, err = run_cli(capsys, "check", "--config", "/no/such/file.json")
         assert code == 2
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _floats(item)
+
+
+class TestOutputEncoding:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--lo", "-5", "--hi", "8", "--wrap-phase", "1.25"],
+        ["check", "--n-max", "3", "--boundary", "open"],
+        ["spectrum", "--lo", "-10", "--hi", "4", "--wrap-phase", "0.7"],
+        ["phasedist", "--n-max", "24", "--state", "coherent:lower,alpha=1-1i", "--phi0", "0.3"],
+        ["phasedist", "--n-max", "24", "--state", "fock:2"],
+        ["operators", "--lo", "-7", "--hi", "3", "--operator", "a_m", "--wrap-phase", "1.25"],
+        ["operators", "--n-max", "5", "--operator", "cosine"],
+    ])
+    def test_json_is_canonical_with_twelve_digit_floats(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        floats = list(_floats(payload))
+        assert floats
+        assert all(x == float(f"{x:.12g}") for x in floats)
+
+    def test_check_csv_and_json_encode_identical_numbers(self, capsys):
+        argv = ["check", "--lo", "-5", "--hi", "8", "--wrap-phase", "1.25"]
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        reports = json.loads(out)
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == len(reports)
+        for row, report in zip(rows, reports):
+            assert float(row[4]) == report["window"]["wrap_phase"]
+            assert float(row[5]) == report["max_deviation"]
+            assert float(row[6]) == report["tolerance"]
+            assert row[8] == report["notes"]
+
+    def test_spectrum_csv_and_json_encode_identical_numbers(self, capsys):
+        argv = ["spectrum", "--lo", "-10", "--hi", "4", "--wrap-phase", "0.7"]
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        eigenvalues = json.loads(out)["eigenvalues"]
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == len(eigenvalues)
+        for row, entry in zip(rows, eigenvalues):
+            assert [int(row[0])] + [float(x) for x in row[1:]] == [
+                entry["k"], entry["phase"], entry["re"], entry["im"]]
+
+    def test_phase_uniform_state_has_a_null_mean(self, capsys):
+        code, out, _ = run_cli(capsys, "phasedist", "--n-max", "1023", "--state", "fock:2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["circular_mean"] is None
+        assert payload["circular_variance"] == 1.0
 
 
 class TestOutputFile:
