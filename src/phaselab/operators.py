@@ -270,7 +270,7 @@ OPERATOR_BUILDERS = {
 def operator_to_json_dict(op: OperatorMatrix) -> dict:
     """Dump format: nonzero entries as [row_label, col_label, re, im],
     sorted by (row, col), with rows/cols as basis labels, not positions."""
-    rows, cols = np.nonzero(op.entries)
+    rows, cols = np.nonzero(op.entries != 0)
     values = op.entries[rows, cols]
     entries = zip((rows + op.window.lo).tolist(), (cols + op.window.lo).tolist(),
                   values.real.tolist(), values.imag.tolist())

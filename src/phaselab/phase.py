@@ -10,6 +10,7 @@ non-orthogonal interpolating states used by higher-resolution scans.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -38,9 +39,9 @@ class PhaseGrid:
     period, derived from the window's dimension and phi0. The uniform
     spacing is what lets the Born rule over the grid be one FFT.
 
-    For a cyclic window with wrap_phase 0 the grid with phi0 = 0
-    enumerates the exact eigenphases of the ladder operator E. A phi0 so
-    large that the D points are not strictly ascending is refused.
+    A phi0 so large that the spacing 2 pi / D is below one unit in the
+    12th significant digit of the largest |point| is refused: formats
+    would print points that are not distinct.
     """
 
     window: Window
@@ -52,12 +53,22 @@ class PhaseGrid:
         d = self.window.dimension
         object.__setattr__(self, "points", self.phi0 + _TWO_PI * np.arange(d) / d)
         _freeze(self, "points", float, (d,))
-        if not np.all(np.diff(self.points) > 0.0):
-            raise ValueError(f"phi0 {self.phi0:g} is too large for {d} distinct grid points")
+        largest = max(abs(self.points[0]), abs(self.points[-1]))
+        if _TWO_PI / d < 10.0 ** (math.floor(math.log10(largest)) - 11):
+            raise ValueError(f"phi0 {self.phi0:g} is too large for {d} grid points "
+                             f"distinct at 12 significant digits")
 
 
 def phase_grid(window: Window, phi0: float = 0.0) -> PhaseGrid:
     return PhaseGrid(window, phi0)
+
+
+def eigenphase_grid(window: Window) -> PhaseGrid:
+    """The cyclic ladder's eigenphases (theta + 2 pi k) / D, theta in
+    (-pi, pi] the angle of E's wrap element e^{i wrap_phase}: phi0 stays
+    below pi / D, so (n + 1/2) phi0 keeps its digits at any wrap_phase."""
+    theta = cmath.phase(cmath.exp(1j * window.wrap_phase))
+    return PhaseGrid(window, theta / window.dimension)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,16 +92,35 @@ def phase_state(window: Window, phi: float) -> StateVector:
     On-grid values of phi give the orthonormal phase basis; other values
     give the interpolating states.
     """
-    bra = _phase_bras(window.indices() + 0.5, np.array([phi]))[0]
-    return StateVector(window, bra.conj())
+    amplitudes = np.exp(1j * (window.indices() + 0.5) * phi) / math.sqrt(window.dimension)
+    return StateVector(window, amplitudes)
 
 
-def _phase_bras(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The phase-grid basis as bras: row k is <phi_k| over the given basis
-    labels, e^{-i labels phi_k} / sqrt(len(labels)). Doubled-space labels
-    are n + 1/2; the single-mode Pegg-Barnett grid uses n. Its conjugate
-    transpose holds the phase states as columns."""
-    return np.exp(-1j * np.outer(points, labels)) / math.sqrt(len(labels))
+def _phase_fft(amplitudes: np.ndarray, labels: np.ndarray, phi0: float) -> np.ndarray:
+    """sum_j c_j e^{-i l_j phi0} e^{-2 pi i jk/D} over labels l_j = l_0 + j:
+    the overlaps with the grid phi0 + 2 pi k / D, up to the unimodular
+    k-factor e^{-2 pi i l_0 k/D} and 1/sqrt(D)."""
+    return np.fft.fft(amplitudes * np.exp(-1j * labels * phi0))
+
+
+def _labels_and_factors(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The labels n + 1/2 and the k-factors / sqrt(D) of _phase_fft, with
+    l_0 k reduced modulo D exactly so the angle stays below 2 pi."""
+    labels = grid.window.indices() + 0.5
+    d = len(labels)
+    return labels, np.exp(-1j * _TWO_PI * ((labels[0] * np.arange(d)) % d) / d) / math.sqrt(d)
+
+
+def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """B: the overlaps <phi_k|psi> with the grid's phase states."""
+    labels, factors = _labels_and_factors(grid)
+    return _phase_fft(amplitudes, labels, grid.phi0) * factors
+
+
+def _from_phase_basis(overlaps: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """K = B^dagger: sum_k x_k |phi_k> in the label basis."""
+    labels, factors = _labels_and_factors(grid)
+    return np.fft.ifft(overlaps * factors.conj()) * len(labels) * np.exp(1j * labels * grid.phi0)
 
 
 def circular_stats(points: np.ndarray, probabilities: np.ndarray) -> tuple[float | None, float]:
@@ -104,19 +134,12 @@ def circular_stats(points: np.ndarray, probabilities: np.ndarray) -> tuple[float
 
 def _born_distribution(amplitudes: np.ndarray, labels: np.ndarray, grid: PhaseGrid) -> PhaseDistribution:
     """Born rule p_k = |<phi_k|psi>|^2 of unit-norm amplitudes over the
-    given consecutive basis labels, with the circular statistics of the
-    result.
-
-    On the grid phi_k = phi0 + 2 pi k / D the overlap with label
-    l_j = l_0 + j is sum_j c_j e^{-i l_j phi0} e^{-2 pi i jk/D} times the
-    unimodular factor e^{-2 pi i l_0 k/D} / sqrt(D): a DFT, so one FFT
-    gives every probability in O(D log D).
-    """
+    given consecutive basis labels, one FFT, with the circular statistics
+    of the result."""
     norm = float(np.linalg.norm(amplitudes))
     if not abs(norm - 1.0) <= PROBABILITY_TOL:
         raise ValueError(f"state norm {norm:.12g} is not 1 within {PROBABILITY_TOL:g}")
-    overlaps = np.fft.fft(amplitudes * np.exp(-1j * labels * grid.phi0))
-    probabilities = np.abs(overlaps) ** 2 / len(labels)
+    probabilities = np.abs(_phase_fft(amplitudes, labels, grid.phi0)) ** 2 / len(labels)
     mean, variance = circular_stats(grid.points, probabilities)
     return PhaseDistribution(grid, probabilities, mean, variance)
 
@@ -139,32 +162,21 @@ def _eigenphase(value: complex, window: Window) -> float:
     return math.nextafter(_TWO_PI, 0.0) if phase == _TWO_PI else phase
 
 
-def eigen_decompose_sg(op: OperatorMatrix) -> list[tuple[complex, StateVector]]:
-    """Eigenpairs of the cyclic ladder operator, sorted by phase angle in
-    [0, 2 pi), eigenvectors unit-norm with the amplitude at label 0 made
-    real positive.
-
-    Open-mode operators are refused: truncation leaves them defective at
-    the edge and the numerical output would be misleading.
-    """
-    if op.window.boundary is not Boundary.CYCLIC:
-        raise ValueError(
-            "eigendecomposition needs a cyclic-boundary ladder operator; "
-            "the open-mode operator is defective at the truncation edge"
-        )
-    values, vectors = np.linalg.eig(op.entries)
-    order = np.argsort([_eigenphase(value, op.window) for value in values])
-
-    pos0 = op.window.position(0)
-    pairs = []
-    for k in order:
-        vec = vectors[:, k]
-        vec = vec / np.linalg.norm(vec)
-        anchor = vec[pos0]
-        if abs(anchor) > 1e-14:
-            vec = vec * (anchor.conjugate() / abs(anchor))
-        pairs.append((complex(values[k]), StateVector(op.window, vec)))
-    return pairs
+def ladder_eigenvalues(window: Window) -> list[tuple[float, complex]]:
+    """(eigenphase, eigenvalue) pairs of the cyclic ladder E in ascending
+    phase, in closed form: lambda_k = e^{i theta/D} e^{2 pi i k/D} (see
+    eigenphase_grid), each root of unity a power of i times e^{i x},
+    |x| <= pi/4, so +-1 and +-i are exact. Open mode is refused: there
+    truncation leaves E defective at the edge."""
+    if window.boundary is not Boundary.CYCLIC:
+        raise ValueError("eigendecomposition needs a cyclic-boundary ladder operator; "
+                         "the open-mode operator is defective at the truncation edge")
+    d = window.dimension
+    k = np.arange(d)
+    quarter = np.rint(4 * k / d).astype(int)
+    roots = np.array([1, 1j, -1, -1j])[quarter % 4] * np.exp(0.5j * math.pi * (4 * k - quarter * d) / d)
+    values = (cmath.exp(1j * eigenphase_grid(window).phi0) * roots).tolist()
+    return sorted(((_eigenphase(v, window), v) for v in values), key=lambda pair: pair[0])
 
 
 def cosine_sine_expectation(

@@ -29,7 +29,7 @@ from .operators import (
     build_susskind_glogower,
     commutator,
 )
-from .phase import _phase_bras, phase_grid
+from .phase import _from_phase_basis, _to_phase_basis, eigenphase_grid, phase_grid
 
 # Bound constant for C11: residual * D was measured at <= 5.64 for the
 # band-limited test amplitude (and pi/4 for the single-mode fallback)
@@ -241,19 +241,22 @@ def _check_c07(window, tol):
 def _check_c08(window, tol):
     d = window.dimension
     cyclic = window.boundary is Boundary.CYCLIC
-    phi0 = window.wrap_phase / d if cyclic else 0.0
-    grid = phase_grid(window, phi0)
-    bras = _phase_bras(window.indices() + 0.5, grid.points)
-    kets = bras.conj().T
-    ident = np.eye(d, dtype=complex)
-    dev = max(_maxabs(bras @ kets - ident), _maxabs(kets @ bras - ident))
+    grid = eigenphase_grid(window) if cyclic else phase_grid(window)
+    # a fixed unit-norm chirp that K maps to the inverse DFT of a Zadoff-Chu
+    # sequence: every component of x and K x has modulus 1/sqrt(D), so a
+    # defect in any one entry of E shows in E K x at 1/sqrt(D) of its size
+    k = np.arange(d)
+    x = np.exp(1j * math.pi * ((k * (k - 1 + d % 2)) % (2 * d)) / d) / math.sqrt(d)
+    kx, bx = _from_phase_basis(x, grid), _to_phase_basis(x, grid)
+    # B K = I, K B = I, <x, K x> = <B x, x> and E K = K Lambda, applied to x
+    dev = max(_maxabs(_to_phase_basis(kx, grid) - x), _maxabs(_from_phase_basis(bx, grid) - x),
+              abs(np.vdot(x, kx) - np.vdot(bx, x)))
     e = build_susskind_glogower(window).entries
-    residual = e @ kets - kets * np.exp(1j * grid.points)[np.newaxis, :]
+    residual = e @ kx - _from_phase_basis(np.exp(1j * grid.points) * x, grid)
     if cyclic:
         scope = "with the full eigenvalue equation on the wrap-aligned grid"
     else:
-        residual = np.array(residual)
-        residual[window.position(window.hi), :] = 0.0
+        residual[window.position(window.hi)] = 0.0
         scope = (
             "with the eigenvalue equation on every component but the top "
             "edge row (open mode drops the inflow that would fill it)"
@@ -297,25 +300,16 @@ def _check_c10(window, tol):
 def _check_c11(window, tol):
     d = window.dimension
     grid = phase_grid(window, 0.0)
-    bras = _phase_bras(window.indices() + 0.5, grid.points)
-    n_label = build_number(window, NumberKind.LABEL).entries
-
     angles = grid.points
-    rich = window.lo <= -3 and window.hi >= 1
-    if rich:
-        envelope = 1.0 + np.cos(angles) / 2.0 + np.sin(2.0 * angles) / 4.0
-    else:
-        envelope = np.ones(d)
-    h = np.exp(1j * angles / 2.0) * envelope
+    h = np.exp(1j * angles / 2.0)
+    if window.lo <= -3 and window.hi >= 1:  # room for a band-limited envelope
+        h = h * (1.0 + np.cos(angles) / 2.0 + np.sin(2.0 * angles) / 4.0)
+    # phase amplitudes are anti-periodic over 2 pi
+    fd = (np.append(h[1:], -h[0]) - h) / (2.0 * math.pi / d)
 
-    step = 2.0 * math.pi / d
-    shifted = np.empty(d, dtype=complex)
-    shifted[:-1] = h[1:]
-    shifted[-1] = -h[0]  # phase amplitudes are anti-periodic over 2 pi
-    fd = (shifted - h) / step
-
-    # the label count in the phase-grid basis, applied to h as mat-vecs
-    n_h = bras @ (n_label @ (bras.conj().T @ h))
+    # the label count in the phase-grid basis: B N K h
+    n_label = build_number(window, NumberKind.LABEL).entries
+    n_h = _to_phase_basis(n_label @ _from_phase_basis(h, grid), grid)
     dev = _maxabs(n_h + h / 2.0 - 1j * fd)
     tolerance = C11_RATE_CONSTANT / d
     return _report(

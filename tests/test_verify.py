@@ -1,6 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
 
+import oracles
 from phaselab import verify
 from phaselab.fockspace import Boundary, Window
 from phaselab.operators import (
@@ -84,6 +87,28 @@ def test_a_perturbed_operator_fails_exactly_its_owning_checks(
     monkeypatch.setattr(verify, builder, _perturbed(getattr(verify, builder), row, col))
     reports = run_checks(Window.symmetric(4, boundary))
     assert {r.check_id for r in reports if not r.passed} == owners
+
+
+# 15 windows from the two vacua to D = 256, symmetric and not
+C08_CORPUS = [(-1, 0), (-2, 1), (-1, 5), (-3, 9), (-7, 3), (-9, 2), (-8, 7), (-16, 15),
+              (-20, 50), (-100, 27), (-32, 31), (-1, 127), (-128, 0), (-64, 63), (-128, 127)]
+
+
+@pytest.mark.parametrize("wrap", [0.0, 1.25, -2.5])
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CYCLIC])
+@pytest.mark.parametrize("lo, hi", C08_CORPUS)
+def test_c08_verdicts_match_the_dense_products(monkeypatch, lo, hi, boundary, wrap):
+    window = Window(lo, hi, boundary, wrap)
+    cyclic = boundary is Boundary.CYCLIC
+    phi0 = cmath.phase(cmath.exp(1j * wrap)) / window.dimension if cyclic else 0.0
+    labels = window.indices() + 0.5
+    tol = ToleranceProfile()
+    # both routes pass the built E, and both fail it moved by 1e-9 at (-1, 0)
+    for builder, passes in [(verify.build_susskind_glogower, True),
+                            (_perturbed(verify.build_susskind_glogower, -1, 0), False)]:
+        monkeypatch.setattr(verify, "build_susskind_glogower", builder)
+        dense = oracles.dense_c08_deviation(builder(window).entries, labels, phi0, cyclic)
+        assert verify._check_c08(window, tol).passed == (dense <= tol.exact) == passes
 
 
 class TestNumberKindAdjudication:
