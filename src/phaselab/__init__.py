@@ -54,7 +54,7 @@ from .phase import (
     cosine_sine_expectation,
     distribution_to_csv,
     distribution_to_json_dict,
-    ladder_eigenvalues,
+    eigen_decompose_sg,
     phase_distribution,
     phase_grid,
     phase_state,

@@ -97,10 +97,15 @@ def phase_state(window: Window, phi: float) -> StateVector:
 
 
 def _phase_fft(amplitudes: np.ndarray, labels: np.ndarray, phi0: float) -> np.ndarray:
-    """sum_j c_j e^{-i l_j phi0} e^{-2 pi i jk/D} over labels l_j = l_0 + j:
-    the overlaps with the grid phi0 + 2 pi k / D, up to the unimodular
-    k-factor e^{-2 pi i l_0 k/D} and 1/sqrt(D)."""
-    return np.fft.fft(amplitudes * np.exp(-1j * labels * phi0))
+    """sum_j c_j e^{-i l_j phi0} e^{-2 pi i jk/D} over labels l_j = l_0 + j,
+    along axis 0 (a vector, or one column per vector): the overlaps with
+    the grid phi0 + 2 pi k / D, up to the unimodular k-factor
+    e^{-2 pi i l_0 k/D} and 1/sqrt(D)."""
+    return np.fft.fft(amplitudes * _along_axis0(np.exp(-1j * labels * phi0), amplitudes), axis=0)
+
+
+def _along_axis0(factors: np.ndarray, like: np.ndarray) -> np.ndarray:
+    return factors.reshape((-1,) + (1,) * (like.ndim - 1))
 
 
 def _labels_and_factors(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -112,15 +117,18 @@ def _labels_and_factors(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """B: the overlaps <phi_k|psi> with the grid's phase states."""
+    """B: the overlaps <phi_k|psi> with the grid's phase states, of a
+    vector or of each column of a matrix."""
     labels, factors = _labels_and_factors(grid)
-    return _phase_fft(amplitudes, labels, grid.phi0) * factors
+    return _phase_fft(amplitudes, labels, grid.phi0) * _along_axis0(factors, amplitudes)
 
 
 def _from_phase_basis(overlaps: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """K = B^dagger: sum_k x_k |phi_k> in the label basis."""
+    """K = B^dagger: sum_k x_k |phi_k> in the label basis, of a vector or
+    of each column of a matrix."""
     labels, factors = _labels_and_factors(grid)
-    return np.fft.ifft(overlaps * factors.conj()) * len(labels) * np.exp(1j * labels * grid.phi0)
+    spread = np.fft.ifft(overlaps * _along_axis0(factors.conj(), overlaps), axis=0) * len(labels)
+    return spread * _along_axis0(np.exp(1j * labels * grid.phi0), overlaps)
 
 
 def circular_stats(points: np.ndarray, probabilities: np.ndarray) -> tuple[float | None, float]:
@@ -162,21 +170,32 @@ def _eigenphase(value: complex, window: Window) -> float:
     return math.nextafter(_TWO_PI, 0.0) if phase == _TWO_PI else phase
 
 
-def ladder_eigenvalues(window: Window) -> list[tuple[float, complex]]:
-    """(eigenphase, eigenvalue) pairs of the cyclic ladder E in ascending
-    phase, in closed form: lambda_k = e^{i theta/D} e^{2 pi i k/D} (see
-    eigenphase_grid), each root of unity a power of i times e^{i x},
-    |x| <= pi/4, so +-1 and +-i are exact. Open mode is refused: there
-    truncation leaves E defective at the edge."""
-    if window.boundary is not Boundary.CYCLIC:
-        raise ValueError("eigendecomposition needs a cyclic-boundary ladder operator; "
-                         "the open-mode operator is defective at the truncation edge")
-    d = window.dimension
-    k = np.arange(d)
-    quarter = np.rint(4 * k / d).astype(int)
-    roots = np.array([1, 1j, -1, -1j])[quarter % 4] * np.exp(0.5j * math.pi * (4 * k - quarter * d) / d)
-    values = (cmath.exp(1j * eigenphase_grid(window).phi0) * roots).tolist()
-    return sorted(((_eigenphase(v, window), v) for v in values), key=lambda pair: pair[0])
+def eigen_decompose_sg(op: OperatorMatrix) -> list[tuple[complex, StateVector]]:
+    """Eigenpairs of the cyclic ladder operator, sorted by phase angle in
+    [0, 2 pi), eigenvectors unit-norm with the amplitude at label 0 made
+    real positive.
+
+    Open-mode operators are refused: truncation leaves them defective at
+    the edge and the numerical output would be misleading.
+    """
+    if op.window.boundary is not Boundary.CYCLIC:
+        raise ValueError(
+            "eigendecomposition needs a cyclic-boundary ladder operator; "
+            "the open-mode operator is defective at the truncation edge"
+        )
+    values, vectors = np.linalg.eig(op.entries)
+    order = np.argsort([_eigenphase(value, op.window) for value in values])
+
+    pos0 = op.window.position(0)
+    pairs = []
+    for k in order:
+        vec = vectors[:, k]
+        vec = vec / np.linalg.norm(vec)
+        anchor = vec[pos0]
+        if abs(anchor) > 1e-14:
+            vec = vec * (anchor.conjugate() / abs(anchor))
+        pairs.append((complex(values[k]), StateVector(op.window, vec)))
+    return pairs
 
 
 def cosine_sine_expectation(

@@ -242,21 +242,23 @@ def _check_c08(window, tol):
     d = window.dimension
     cyclic = window.boundary is Boundary.CYCLIC
     grid = eigenphase_grid(window) if cyclic else phase_grid(window)
-    # a fixed unit-norm chirp that K maps to the inverse DFT of a Zadoff-Chu
-    # sequence: every component of x and K x has modulus 1/sqrt(D), so a
-    # defect in any one entry of E shows in E K x at 1/sqrt(D) of its size
+    # B K = I, K B = I and <x, K x> = <B x, x> on a fixed unit-norm chirp
+    # that is flat in both bases: these test that the transform pair is
+    # mutually inverse and adjoint
     k = np.arange(d)
     x = np.exp(1j * math.pi * ((k * (k - 1 + d % 2)) % (2 * d)) / d) / math.sqrt(d)
     kx, bx = _from_phase_basis(x, grid), _to_phase_basis(x, grid)
-    # B K = I, K B = I, <x, K x> = <B x, x> and E K = K Lambda, applied to x
     dev = max(_maxabs(_to_phase_basis(kx, grid) - x), _maxabs(_from_phase_basis(bx, grid) - x),
               abs(np.vdot(x, kx) - np.vdot(bx, x)))
+    # the whole eigenvalue equation, E K - K Lambda = K (B E K - Lambda),
+    # by transforms of every column: B E K = B (B E^dagger)^dagger
     e = build_susskind_glogower(window).entries
-    residual = e @ kx - _from_phase_basis(np.exp(1j * grid.points) * x, grid)
+    bek = _to_phase_basis(_to_phase_basis(e.conj().T, grid).conj().T, grid)
+    residual = _from_phase_basis(bek - np.diag(np.exp(1j * grid.points)), grid)
     if cyclic:
         scope = "with the full eigenvalue equation on the wrap-aligned grid"
     else:
-        residual[window.position(window.hi)] = 0.0
+        residual[window.position(window.hi), :] = 0.0
         scope = (
             "with the eigenvalue equation on every component but the top "
             "edge row (open mode drops the inflow that would fill it)"

@@ -49,38 +49,6 @@ def dense_phase_bras(labels, points):
     return np.exp(-1j * np.outer(points, labels)) / math.sqrt(len(labels))
 
 
-def eigenphase(value, wrap_phase):
-    """Angle in [0, 2 pi) of an eigenvalue of the cyclic ladder: only a
-    wrap_phase that is a multiple of 2 pi has an exact eigenphase 0, and
-    a phase within 1e-9 below 2 pi is folded to it; any other phase that
-    rounds up to 2 pi is the largest float below 2 pi."""
-    phase = cmath.phase(value) % (2.0 * math.pi)
-    if wrap_phase % (2.0 * math.pi) == 0.0 and phase > 2.0 * math.pi - 1e-9:
-        return 0.0
-    return math.nextafter(2.0 * math.pi, 0.0) if phase == 2.0 * math.pi else phase
-
-
-def eigen_decompose_sg(op):
-    """Eigenpairs (value, vector) of a cyclic ladder operator by the dense
-    LAPACK eigensolver, sorted by eigenphase, each vector unit-norm with
-    its amplitude at label 0 made real positive. op is any object with
-    .entries and a .window carrying boundary, wrap_phase and position()."""
-    window = op.window
-    if window.boundary.value != "cyclic":
-        raise ValueError("eigendecomposition needs a cyclic-boundary ladder operator")
-    values, vectors = np.linalg.eig(op.entries)
-    order = np.argsort([eigenphase(value, window.wrap_phase) for value in values])
-    pos0 = window.position(0)
-    pairs = []
-    for k in order:
-        vec = vectors[:, k] / np.linalg.norm(vectors[:, k])
-        anchor = vec[pos0]
-        if abs(anchor) > 1e-14:
-            vec = vec * (anchor.conjugate() / abs(anchor))
-        pairs.append((complex(values[k]), vec))
-    return pairs
-
-
 def dense_c08_deviation(e_entries, labels, phi0, cyclic):
     """The phase-grid identities by three dense D x D x D products over
     the grid phi0 + 2 pi k / D: max |B K - I|, |K B - I| and

@@ -22,7 +22,7 @@ from phaselab.baselines import (
     restrict_to_upper,
     single_mode_coherent,
 )
-from phaselab.fockspace import Boundary, StateVector, Window, coherent_state, fock_state
+from phaselab.fockspace import Boundary, Window, coherent_state, fock_state
 from phaselab.operators import (
     NumberKind,
     build_a_m,
@@ -32,7 +32,12 @@ from phaselab.operators import (
     build_susskind_glogower,
     commutator,
 )
-from phaselab.phase import phase_distribution, phase_grid, phase_state
+from phaselab.phase import (
+    eigen_decompose_sg,
+    phase_distribution,
+    phase_grid,
+    phase_state,
+)
 from phaselab.verify import run_checks
 
 # Doubled-space vs Pegg-Barnett sup-difference bound for the matched-
@@ -182,14 +187,14 @@ def test_criterion_05_spectrum(d):
     """Cyclic ladder eigenvalues are exactly the uniform unimodular grid
     and eigenvectors match the analytic phase states."""
     w = Window.symmetric(d // 2 - 1, Boundary.CYCLIC)
-    pairs = oracles.eigen_decompose_sg(build_susskind_glogower(w))
+    pairs = eigen_decompose_sg(build_susskind_glogower(w))
     values = np.array([v for v, _ in pairs])
     unimod = maxabs(np.abs(values) - 1.0)
     expected = np.exp(2j * math.pi * np.arange(d) / d)
     value_dev = maxabs(values - expected)
     grid = phase_grid(w)
     min_overlap = min(
-        abs(phase_state(w, grid.points[k]).inner(StateVector(w, vec)))
+        abs(phase_state(w, grid.points[k]).inner(vec))
         for k, (_, vec) in enumerate(pairs)
     )
     ok = unimod <= 1e-10 and value_dev <= 1e-10 and min_overlap >= 1.0 - 1e-10

@@ -1,18 +1,12 @@
 import csv
 import io
 import json
-import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-import oracles
 from phaselab.cli import main
-from phaselab.fockspace import Boundary, Window
-from phaselab.operators import build_susskind_glogower
-from phaselab.phase import ladder_eigenvalues
 
 
 def run_cli(capsys, *argv):
@@ -94,34 +88,6 @@ class TestSpectrumCommand:
         code, _, err = run_cli(capsys, "spectrum", "--n-max", "3", "--boundary", "open")
         assert code == 2
         assert "cyclic" in err
-
-    @pytest.mark.parametrize("wrap", [0.0, 0.7, -1e-10, 2 * math.pi, 1e17])
-    @pytest.mark.parametrize("lo, hi", [(-1, 0), (-4, 3), (-10, 4), (-32, 31)])
-    def test_matches_the_dense_eigensolver(self, capsys, lo, hi, wrap):
-        w = Window(lo, hi, Boundary.CYCLIC, wrap)
-        pairs = oracles.eigen_decompose_sg(build_susskind_glogower(w))
-        code, out, _ = run_cli(capsys, "spectrum", "--lo", str(lo), "--hi", str(hi),
-                               f"--wrap-phase={wrap!r}", "--format", "csv")
-        assert code == 0
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert [row[0] for row in rows] == [str(k) for k in range(w.dimension)]
-        # the printed phases are the oracle's in the same order, to the 12
-        # printed digits; the full-precision ones agree within 1e-14 (the
-        # oracle prints LAPACK's roundoff, e.g. 4.5e-16, for an exact 0)
-        expected = [(oracles.eigenphase(value, wrap), value) for value, _ in pairs]
-        for row, (phase, _) in zip(rows, expected):
-            assert abs(float(row[1]) - phase) <= 5e-12
-        for (phase, value), (want_phase, want) in zip(ladder_eigenvalues(w), expected):
-            assert abs(phase - want_phase) <= 1e-14
-            assert max(abs(value.real - want.real), abs(value.imag - want.imag)) <= 1e-14
-
-    def test_needs_no_eigensolver(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("spectrum called numpy.linalg.eig")
-        monkeypatch.setattr(np.linalg, "eig", refuse)
-        code, out, _ = run_cli(capsys, "spectrum", "--n-max", "191", "--format", "csv")
-        assert code == 0
-        assert len(out.splitlines()) == 1 + 384
 
 
 class TestPhasedistCommand:
