@@ -23,15 +23,11 @@ from .phase import _TWO_PI, PhaseDistribution, PhaseGrid, _born_distribution
 def build_sg_single(nw: SingleModeWindow) -> OperatorMatrix:
     """Unit lowering chain on 0..n_max; annihilates |0>, hence the
     classic unitarity defect E^dag E = I - |0><0|."""
-    return OperatorMatrix(nw, _weighted_shift([1.0] * nw.n_max), "sg_single")
+    return _weighted_shift(nw, "sg_single", [1.0] * nw.n_max)
 
 
 def build_cosine_sine_single(nw: SingleModeWindow) -> tuple[OperatorMatrix, OperatorMatrix]:
-    c, s = _quadratures(build_sg_single(nw).entries)
-    return (
-        OperatorMatrix(nw, c, "cosine_single"),
-        OperatorMatrix(nw, s, "sine_single"),
-    )
+    return _quadratures(build_sg_single(nw), ("cosine_single", "sine_single"))
 
 
 def build_pegg_barnett(nw: SingleModeWindow, phi0: float = 0.0) -> OperatorMatrix:
@@ -40,17 +36,26 @@ def build_pegg_barnett(nw: SingleModeWindow, phi0: float = 0.0) -> OperatorMatri
     phase grid with offset phi0 and eigenvalues e^{i(phi0 + 2 pi k/(s+1))}.
     """
     d = nw.dimension
-    m = _weighted_shift([1.0] * (d - 1), wrap=cmath.exp(1j * d * phi0))
-    return OperatorMatrix(nw, m, f"pegg_barnett(phi0={phi0:g})")
+    return _weighted_shift(nw, f"pegg_barnett(phi0={phi0:g})", [1.0] * (d - 1),
+                  wrap=cmath.exp(1j * d * phi0))
 
 
 def restrict_to_upper(op: OperatorMatrix) -> OperatorMatrix:
     """The (n >= 0) x (n >= 0) sub-block of a doubled-space operator as a
-    single-mode matrix over 0..hi."""
+    single-mode matrix over 0..hi. A block row whose column falls outside
+    the block keeps a zero weight on a block column no other row of its
+    term reads, so each term stays a permutation."""
     w = op.window
     start = w.position(0)
-    block = op.entries[start:, start:]
-    return OperatorMatrix(SingleModeWindow(w.hi), block, f"upper_block({op.label})")
+    terms = []
+    for p, weights in op.terms:
+        cols = p[start:] - start
+        inside = cols >= 0
+        unused = np.ones(w.hi + 1, dtype=bool)
+        unused[cols[inside]] = False
+        cols[~inside] = np.flatnonzero(unused)
+        terms.append((cols, np.where(inside, weights[start:], 0.0)))
+    return OperatorMatrix(SingleModeWindow(w.hi), terms, f"upper_block({op.label})")
 
 
 def single_mode_coherent(

@@ -143,17 +143,22 @@ class SingleModeWindow:
         return self.n_max + 1
 
 
-def _freeze(obj, name: str, dtype, shape: tuple) -> None:
-    """Replace the array attribute obj.<name> of a frozen dataclass by a
-    read-only copy of the given dtype, after checking its shape and that
-    every value is finite."""
-    values = np.array(getattr(obj, name), dtype=dtype)
+def _frozen(values, name: str, dtype, shape: tuple) -> np.ndarray:
+    """A read-only copy of values in the given dtype, after checking its
+    shape and that every value is finite."""
+    values = np.array(values, dtype=dtype)
     if values.shape != shape:
         raise ValueError(f"{name} shape {values.shape} does not match {shape}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
     values.setflags(write=False)
-    object.__setattr__(obj, name, values)
+    return values
+
+
+def _freeze(obj, name: str, dtype, shape: tuple) -> None:
+    """Replace the array attribute obj.<name> of a frozen dataclass by its
+    _frozen copy."""
+    object.__setattr__(obj, name, _frozen(getattr(obj, name), name, dtype, shape))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
-"""Matrix builders for the doubled-space operators, plus dense arithmetic.
+"""Builders for the doubled-space operators, and their arithmetic as
+short sums of weighted permutations.
 
 Ladder conventions on the two branches (all against ascending label
 order n = lo..hi):
@@ -19,6 +20,11 @@ a_plus, a_minus, their adjoints, a_v, helicity, the number diagonals and
 the polarization swap are in-window matrix elements of the untruncated
 operators and ignore the boundary mode; only a_m and E close the edge.
 
+Every builder output has at most two nonzeros per column, and so has
+every product, adjoint and sum the checks form: each is held as a few
+terms (p, w), a permutation p with weights w. Products, adjoints and sums
+cost O(D) per term; only to_dense() forms a D x D array.
+
 Builders and arithmetic are pure and OperatorMatrix is immutable, so
 parallel construction is safe and bit-identical to serial construction.
 """
@@ -32,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fockspace import Boundary, SingleModeWindow, StateVector, Window, _freeze, photon_count
+from .fockspace import Boundary, SingleModeWindow, StateVector, Window, _frozen, photon_count
 from .formats import window_to_json_dict
 
 
@@ -61,120 +67,202 @@ def _require_same_window(a, b, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix over a window, tagged with its builder label.
+    """A complex matrix over a window as a sum of weighted permutations,
+    tagged with its builder label.
 
-    The window is a doubled-space Window or, for the single-polarization
-    baselines, a SingleModeWindow; operands of a binary operation must
-    share it.
+    Each term (p, w) holds the entries w[i] at (i, p[i]): row i reads
+    column p[i]. Terms may share positions; their weights then add, in
+    term order. The window is a doubled-space Window or, for the
+    single-polarization baselines, a SingleModeWindow; operands of a
+    binary operation must share it.
     """
 
     window: Window | SingleModeWindow
-    entries: np.ndarray
+    terms: tuple
     label: str
 
     def __post_init__(self):
-        _freeze(self, "entries", complex, (self.window.dimension,) * 2)
+        d = self.window.dimension
+        terms = []
+        for p, w in self.terms:
+            if np.asarray(p).dtype.kind not in "iu":
+                raise ValueError("a term's permutation must hold integers")
+            p = _frozen(p, "permutation", np.intp, (d,))
+            seen = np.zeros(d, dtype=bool)
+            seen[p[(p >= 0) & (p < d)]] = True
+            if not seen.all():
+                raise ValueError(f"a term's columns are not a permutation of 0..{d - 1}")
+            terms.append((p, _frozen(w, "weights", complex, (d,))))
+        object.__setattr__(self, "terms", tuple(terms))
+
+    def coalesced(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the entries the terms reach, sorted by
+        (row, col), with the weights at one position added in term order.
+        Zero values are kept."""
+        d, count = self.window.dimension, len(self.terms)
+        if not count:
+            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex)
+        keys = (np.arange(d)[:, np.newaxis] * d + np.stack([p for p, _ in self.terms], 1)).ravel()
+        values = np.stack([w for _, w in self.terms], 1).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys = keys[starts]
+        return keys // d, keys % d, np.add.reduceat(values, starts)
+
+    def to_dense(self) -> np.ndarray:
+        """The D x D matrix; the only route to dense entries."""
+        rows, cols, values = self.coalesced()
+        m = np.zeros((self.window.dimension,) * 2, dtype=complex)
+        m[rows, cols] = values
+        return m
+
+    def max_abs(self, where=None) -> float:
+        """max |entry| over the coalesced entries; only over those where
+        where(rows, cols) is true, when it is given."""
+        rows, cols, values = self.coalesced()
+        if where is not None:
+            values = values[where(rows, cols)]
+        return float(np.max(np.abs(values), initial=0.0))
 
     def adjoint(self) -> OperatorMatrix:
-        return OperatorMatrix(self.window, self.entries.conj().T, f"adjoint({self.label})")
+        terms = []
+        for p, w in self.terms:
+            inverse = np.empty_like(p)
+            inverse[p] = np.arange(len(p))
+            terms.append((inverse, w[inverse].conj()))
+        return OperatorMatrix(self.window, terms, f"adjoint({self.label})")
 
     def apply(self, state: StateVector) -> StateVector:
+        """The matrix-vector product, O(D) per term."""
         _require_same_window(self.window, state.window, "apply")
-        return StateVector(self.window, self.entries @ state.amplitudes)
+        out = np.zeros(self.window.dimension, dtype=complex)
+        for p, w in self.terms:
+            out += w * state.amplitudes[p]
+        return StateVector(self.window, out)
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        return (self - self.adjoint()).max_abs()
 
     def __matmul__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "product")
-        return OperatorMatrix(
-            self.window, self.entries @ other.entries, f"({self.label} {other.label})"
-        )
+        return OperatorMatrix(self.window, _product_terms(self, other),
+                              f"({self.label} {other.label})")
 
     def __add__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "sum")
-        return OperatorMatrix(
-            self.window, self.entries + other.entries, f"({self.label} + {other.label})"
-        )
+        return OperatorMatrix(self.window, self.terms + other.terms,
+                              f"({self.label} + {other.label})")
 
     def __sub__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "difference")
-        return OperatorMatrix(
-            self.window, self.entries - other.entries, f"({self.label} - {other.label})"
-        )
+        return OperatorMatrix(self.window, self.terms + _negated(other.terms),
+                              f"({self.label} - {other.label})")
 
     def __mul__(self, scalar) -> OperatorMatrix:
-        return OperatorMatrix(
-            self.window, self.entries * complex(scalar), f"({scalar} {self.label})"
-        )
+        terms = tuple((p, w * complex(scalar)) for p, w in self.terms)
+        return OperatorMatrix(self.window, terms, f"({scalar} {self.label})")
 
     __rmul__ = __mul__
 
     def __neg__(self) -> OperatorMatrix:
-        return OperatorMatrix(self.window, -self.entries, f"(-{self.label})")
+        return OperatorMatrix(self.window, _negated(self.terms), f"(-{self.label})")
+
+
+def _product_terms(a: OperatorMatrix, b: OperatorMatrix) -> tuple:
+    """Terms of AB: row i of a term of A reads row pa[i] of a term of B."""
+    return tuple((pb[pa], _times(wa, wb[pa])) for pa, wa in a.terms for pb, wb in b.terms)
+
+
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y with each real product rounded on its own, so a weight does
+    not depend on where it sits: numpy's vectorized complex multiply fuses
+    the products on some array positions and not on others."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _negated(terms: tuple) -> tuple:
+    return tuple((p, -w) for p, w in terms)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA."""
     _require_same_window(a.window, b.window, "commutator")
-    return OperatorMatrix(
-        a.window,
-        a.entries @ b.entries - b.entries @ a.entries,
-        f"[{a.label},{b.label}]",
-    )
+    terms = _product_terms(a, b) + _negated(_product_terms(b, a))
+    return OperatorMatrix(a.window, terms, f"[{a.label},{b.label}]")
 
 
-def _weighted_shift(coefficients, lowering: bool = True, wrap: complex | None = None) -> np.ndarray:
-    """The one builder of shift-chain entries: a D x D matrix, D =
-    len(coefficients) + 1, with coefficients[k] joining storage positions
-    k and k+1, at (k, k+1) when lowering and at (k+1, k) when raising. A
-    wrap value closes the chain at the corner (D-1, 0) when lowering, or
-    (0, D-1) when raising."""
-    m = np.diag(np.asarray(coefficients, dtype=complex), 1 if lowering else -1)
-    if wrap is not None:
-        m[(-1, 0) if lowering else (0, -1)] = wrap
-    return m
+def _weighted_shift(window, label: str, coefficients, lowering: bool = True,
+                    wrap: complex = 0.0) -> OperatorMatrix:
+    """The one builder of shift chains: a one-term operator over D =
+    len(coefficients) + 1 positions, with coefficients[k] joining storage
+    positions k and k+1, at (k, k+1) when lowering and at (k+1, k) when
+    raising. The wrap weight closes the chain at the corner (D-1, 0) when
+    lowering, or (0, D-1) when raising; it is 0 in open mode."""
+    chain = np.asarray(coefficients, dtype=complex)
+    positions = np.arange(len(chain) + 1)
+    if lowering:
+        term = np.roll(positions, -1), np.append(chain, wrap)
+    else:
+        term = np.roll(positions, 1), np.insert(chain, 0, wrap)
+    return OperatorMatrix(window, (term,), label)
 
 
-def _quadratures(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian parts C = (E + E^dag)/2 and S = (E - E^dag)/(2i)."""
-    return (e + e.conj().T) / 2.0, (e - e.conj().T) / 2.0j
+def _diagonal(window, values, label: str = "diagonal") -> OperatorMatrix:
+    return OperatorMatrix(window, ((np.arange(window.dimension), values),), label)
+
+
+def _quadratures(
+    e: OperatorMatrix, labels: tuple[str, str]
+) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Hermitian parts C = (E + E^dag)/2 and S = (E - E^dag)/(2i) of a
+    one-term ladder E, each weight formed as the entrywise dense formula
+    forms it. E and E^dag share no position except at D = 2, so each of
+    them meets the other's zero: 0 + 0j in E, and its conjugate 0 - 0j in
+    E^dag. Adding that zero fixes the sign of every zero real or
+    imaginary part the dump prints."""
+    (p, w), = e.terms
+    (q, v), = e.adjoint().terms
+    zero = np.zeros_like(w)
+    c = ((p, (w + zero.conj()) / 2.0), (q, (zero + v) / 2.0))
+    s = ((p, (w - zero.conj()) / 2.0j), (q, (zero - v) / 2.0j))
+    return OperatorMatrix(e.window, c, labels[0]), OperatorMatrix(e.window, s, labels[1])
 
 
 def build_identity(window: Window) -> OperatorMatrix:
-    return OperatorMatrix(window, np.eye(window.dimension, dtype=complex), "identity")
+    return _diagonal(window, np.ones(window.dimension), "identity")
 
 
 def build_helicity(window: Window) -> OperatorMatrix:
     """Diagonal +1 on the upper branch (n >= 0), -1 on the lower."""
-    diag = np.where(window.indices() >= 0, 1.0, -1.0).astype(complex)
-    return OperatorMatrix(window, np.diag(diag), "helicity")
+    return _diagonal(window, np.where(window.indices() >= 0, 1.0, -1.0), "helicity")
 
 
 def build_a_plus(window: Window) -> OperatorMatrix:
-    m = _weighted_shift(_chain(window, lambda n: n >= 1))
-    return OperatorMatrix(window, m, "a_plus")
+    return _weighted_shift(window, "a_plus", _chain(window, lambda n: n >= 1))
 
 
 def build_a_plus_dagger(window: Window) -> OperatorMatrix:
-    m = _weighted_shift(_chain(window, lambda n: n >= 1), lowering=False)
-    return OperatorMatrix(window, m, "a_plus_dagger")
+    chain = _chain(window, lambda n: n >= 1)
+    return _weighted_shift(window, "a_plus_dagger", chain, lowering=False)
 
 
 def build_a_minus(window: Window) -> OperatorMatrix:
-    m = _weighted_shift(_chain(window, lambda n: n <= -1))
-    return OperatorMatrix(window, m, "a_minus")
+    return _weighted_shift(window, "a_minus", _chain(window, lambda n: n <= -1))
 
 
 def build_a_minus_dagger(window: Window) -> OperatorMatrix:
     # annihilates |-1>: the seam step (n = 0) is not part of the lower branch
-    m = _weighted_shift(_chain(window, lambda n: n <= -1), lowering=False)
-    return OperatorMatrix(window, m, "a_minus_dagger")
+    chain = _chain(window, lambda n: n <= -1)
+    return _weighted_shift(window, "a_minus_dagger", chain, lowering=False)
 
 
 def build_a_v(window: Window) -> OperatorMatrix:
     """Vacuum coupler |-1><0|: sends the upper vacuum to the lower one."""
-    return OperatorMatrix(window, _weighted_shift(_chain(window, lambda n: n == 0)), "a_v")
+    return _weighted_shift(window, "a_v", _chain(window, lambda n: n == 0))
 
 
 def lowering_coefficient(n: int) -> float:
@@ -199,10 +287,10 @@ def _chain(window: Window, keep=lambda n: True) -> list[float]:
 def build_a_m(window: Window) -> OperatorMatrix:
     """Full lowering chain over both branches; see the module docstring
     for the boundary closure."""
-    wrap = None
+    wrap = 0.0
     if window.boundary is Boundary.CYCLIC:
         wrap = lowering_coefficient(window.lo) * cmath.exp(1j * window.wrap_phase)
-    return OperatorMatrix(window, _weighted_shift(_chain(window), wrap=wrap), "a_m")
+    return _weighted_shift(window, "a_m", _chain(window), wrap=wrap)
 
 
 def build_number(window: Window, kind: NumberKind | str = NumberKind.LABEL) -> OperatorMatrix:
@@ -213,25 +301,20 @@ def build_number(window: Window, kind: NumberKind | str = NumberKind.LABEL) -> O
         diag = [float(photon_count(n)) for n in window.indices()]
     else:
         diag = [float(n) if n >= 0 else float(abs(n + 1) - 1) for n in window.indices()]
-    return OperatorMatrix(window, np.diag(np.array(diag, dtype=complex)), f"number_{kind.value}")
+    return _diagonal(window, diag, f"number_{kind.value}")
 
 
 def build_susskind_glogower(window: Window) -> OperatorMatrix:
     """Unit-coefficient lowering chain E (exponential-of-phase operator)."""
-    wrap = None
+    wrap = 0.0
     if window.boundary is Boundary.CYCLIC:
         wrap = cmath.exp(1j * window.wrap_phase)
-    m = _weighted_shift([1.0] * (window.dimension - 1), wrap=wrap)
-    return OperatorMatrix(window, m, "susskind_glogower")
+    return _weighted_shift(window, "susskind_glogower", [1.0] * (window.dimension - 1), wrap=wrap)
 
 
 def build_cosine_sine(window: Window) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Hermitian quadratures C = (E + E^dag)/2 and S = (E - E^dag)/(2i)."""
-    c, s = _quadratures(build_susskind_glogower(window).entries)
-    return (
-        OperatorMatrix(window, c, "cosine"),
-        OperatorMatrix(window, s, "sine"),
-    )
+    return _quadratures(build_susskind_glogower(window), ("cosine", "sine"))
 
 
 def build_polarization_swap(window: Window) -> OperatorMatrix:
@@ -242,10 +325,9 @@ def build_polarization_swap(window: Window) -> OperatorMatrix:
             f"polarization swap needs a symmetric window (lo = -(hi+1)); "
             f"got [{window.lo}, {window.hi}]"
         )
-    m = np.zeros((window.dimension, window.dimension), dtype=complex)
-    for n in range(window.lo, window.hi + 1):
-        m[window.position(-(n + 1)), window.position(n)] = 1.0
-    return OperatorMatrix(window, m, "polarization_swap")
+    # row -(n+1) reads column n: on a symmetric window, position i reads D-1-i
+    return OperatorMatrix(window, ((np.arange(window.dimension)[::-1], np.ones(window.dimension)),),
+                          "polarization_swap")
 
 
 OPERATOR_BUILDERS = {
@@ -270,8 +352,9 @@ OPERATOR_BUILDERS = {
 def operator_to_json_dict(op: OperatorMatrix) -> dict:
     """Dump format: nonzero entries as [row_label, col_label, re, im],
     sorted by (row, col), with rows/cols as basis labels, not positions."""
-    rows, cols = np.nonzero(op.entries != 0)
-    values = op.entries[rows, cols]
+    rows, cols, values = op.coalesced()
+    nonzero = values != 0
+    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
     entries = zip((rows + op.window.lo).tolist(), (cols + op.window.lo).tolist(),
                   values.real.tolist(), values.imag.tolist())
     return {

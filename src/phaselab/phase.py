@@ -96,16 +96,14 @@ def phase_state(window: Window, phi: float) -> StateVector:
     return StateVector(window, amplitudes)
 
 
-def _phase_fft(amplitudes: np.ndarray, labels: np.ndarray, phi0: float) -> np.ndarray:
+def _phase_fft(amplitudes: np.ndarray, labels: np.ndarray, phi0: float, out=None) -> np.ndarray:
     """sum_j c_j e^{-i l_j phi0} e^{-2 pi i jk/D} over labels l_j = l_0 + j,
-    along axis 0 (a vector, or one column per vector): the overlaps with
-    the grid phi0 + 2 pi k / D, up to the unimodular k-factor
-    e^{-2 pi i l_0 k/D} and 1/sqrt(D)."""
-    return np.fft.fft(amplitudes * _along_axis0(np.exp(-1j * labels * phi0), amplitudes), axis=0)
-
-
-def _along_axis0(factors: np.ndarray, like: np.ndarray) -> np.ndarray:
-    return factors.reshape((-1,) + (1,) * (like.ndim - 1))
+    along the last axis (a vector, or one row per vector): the overlaps
+    with the grid phi0 + 2 pi k / D, up to the unimodular k-factor
+    e^{-2 pi i l_0 k/D} and 1/sqrt(D). Written into out when it is given
+    (it may be amplitudes itself), else into a new array."""
+    weighted = np.multiply(amplitudes, np.exp(-1j * labels * phi0), out=out)
+    return np.fft.fft(weighted, out=weighted)
 
 
 def _labels_and_factors(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -116,19 +114,24 @@ def _labels_and_factors(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.exp(-1j * _TWO_PI * ((labels[0] * np.arange(d)) % d) / d) / math.sqrt(d)
 
 
-def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid, out=None) -> np.ndarray:
     """B: the overlaps <phi_k|psi> with the grid's phase states, of a
-    vector or of each column of a matrix."""
+    vector or of each row of a C-ordered matrix; into out as _phase_fft."""
     labels, factors = _labels_and_factors(grid)
-    return _phase_fft(amplitudes, labels, grid.phi0) * _along_axis0(factors, amplitudes)
+    overlaps = _phase_fft(amplitudes, labels, grid.phi0, out)
+    overlaps *= factors
+    return overlaps
 
 
-def _from_phase_basis(overlaps: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+def _from_phase_basis(overlaps: np.ndarray, grid: PhaseGrid, out=None) -> np.ndarray:
     """K = B^dagger: sum_k x_k |phi_k> in the label basis, of a vector or
-    of each column of a matrix."""
+    of each row of a C-ordered matrix; into out as _phase_fft."""
     labels, factors = _labels_and_factors(grid)
-    spread = np.fft.ifft(overlaps * _along_axis0(factors.conj(), overlaps), axis=0) * len(labels)
-    return spread * _along_axis0(np.exp(1j * labels * grid.phi0), overlaps)
+    spread = np.multiply(overlaps, factors.conj(), out=out)
+    np.fft.ifft(spread, out=spread)
+    spread *= len(labels)
+    spread *= np.exp(1j * labels * grid.phi0)
+    return spread
 
 
 def circular_stats(points: np.ndarray, probabilities: np.ndarray) -> tuple[float | None, float]:
@@ -183,7 +186,7 @@ def eigen_decompose_sg(op: OperatorMatrix) -> list[tuple[complex, StateVector]]:
             "eigendecomposition needs a cyclic-boundary ladder operator; "
             "the open-mode operator is defective at the truncation edge"
         )
-    values, vectors = np.linalg.eig(op.entries)
+    values, vectors = np.linalg.eig(op.to_dense())
     order = np.argsort([_eigenphase(value, op.window) for value in values])
 
     pos0 = op.window.position(0)
@@ -209,7 +212,7 @@ def cosine_sine_expectation(
             raise ValueError(f"{name} operator is not Hermitian within {_HERMITIAN_TOL:g}")
     expectations = []
     for op in (c, s):
-        value = complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
+        value = complex(np.vdot(state.amplitudes, op.apply(state).amplitudes))
         if abs(value.imag) > _HERMITIAN_TOL:
             raise ArithmeticError(
                 f"expectation of a Hermitian operator came out complex: {value!r}"

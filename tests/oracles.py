@@ -3,7 +3,8 @@
 Everything here is computed from first principles with explicit sums and
 plain loops, deliberately avoiding the package's vectorized construction
 paths. Tests compare the two independent routes to the same numbers, so
-nothing in this file may import from phaselab.
+no reference here imports from phaselab; only from_dense, which hands a
+dense test matrix to the package's operator type, does.
 """
 
 import cmath
@@ -197,3 +198,20 @@ def single_mode_shift_entries(s, wrap=None):
     if wrap is not None:
         entries[(s, 0)] = wrap
     return entries
+
+
+def from_dense(window, m, label):
+    """A dense D x D matrix as a phaselab OperatorMatrix: one term per
+    wrapped diagonal k that holds a nonzero, row i reading column
+    (i + k) mod D."""
+    from phaselab.operators import OperatorMatrix
+
+    m = np.asarray(m)
+    d = m.shape[0]
+    rows = np.arange(d)
+    terms = []
+    for k in range(d):
+        cols = (rows + k) % d
+        if np.any(m[rows, cols] != 0):
+            terms.append((cols, m[rows, cols]))
+    return OperatorMatrix(window, terms, label)

@@ -91,10 +91,10 @@ def test_criterion_01_vacuum_coupler_identities_exact():
         pm1[w.position(-1), w.position(-1)] = 1.0
         dev = max(
             dev,
-            maxabs((av @ av).entries),
-            maxabs((avd @ avd).entries),
-            maxabs((avd @ av).entries - p0),
-            maxabs((av @ avd).entries - pm1),
+            maxabs((av @ av).to_dense()),
+            maxabs((avd @ avd).to_dense()),
+            maxabs((avd @ av).to_dense() - p0),
+            maxabs((av @ avd).to_dense() - pm1),
         )
     verdict("criterion-01 vacuum coupler algebra", dev == 0.0, f"max deviation {dev:.1e}")
 
@@ -106,7 +106,7 @@ def test_criterion_02_lowering_commutator_values():
     off_dev = 0.0
     for w in WINDOW_FAMILY:
         am = build_a_m(w)
-        comm = commutator(am, am.adjoint()).entries
+        comm = commutator(am, am.adjoint()).to_dense()
         for n in range(w.lo + 1, w.hi):
             expected = 1.0 if n >= 1 else (-1.0 if n <= -2 else 0.0)
             p = w.position(n)
@@ -128,14 +128,14 @@ def test_criterion_03_unitarity_and_open_defect():
             ident = np.eye(w.dimension)
             cyclic_dev = max(
                 cyclic_dev,
-                maxabs((e @ e.adjoint()).entries - ident),
-                maxabs((e.adjoint() @ e).entries - ident),
+                maxabs((e @ e.adjoint()).to_dense() - ident),
+                maxabs((e.adjoint() @ e).to_dense() - ident),
             )
     open_dev = 0.0
     for lo, hi in [(-1, 0), (-8, 0), (-16, 15), (-512, 511)]:
         w = Window(lo, hi, Boundary.OPEN)
         e = build_susskind_glogower(w)
-        defect = (e.adjoint() @ e).entries - np.eye(w.dimension)
+        defect = (e.adjoint() @ e).to_dense() - np.eye(w.dimension)
         expected = np.zeros((w.dimension, w.dimension), complex)
         expected[w.position(w.lo), w.position(w.lo)] = -1.0
         open_dev = max(open_dev, maxabs(defect - expected))
@@ -152,8 +152,8 @@ def test_criterion_04_number_kind_adjudication():
     labels = w.indices()
 
     def residual(kind, signs):
-        comm = commutator(e, build_number(w, kind)).entries
-        return maxabs(comm - e.entries * signs[np.newaxis, :])
+        comm = commutator(e, build_number(w, kind)).to_dense()
+        return maxabs(comm - e.to_dense() * signs[np.newaxis, :])
 
     ones = np.ones(w.dimension)
     label_dev = residual(NumberKind.LABEL, ones)
@@ -221,19 +221,19 @@ def test_criterion_07_single_polarization_recovery():
     for w in both_modes([(-1, 6), (-8, 7), (-64, 63)]):
         got = restrict_to_upper(build_susskind_glogower(w))
         want = build_sg_single(SingleModeWindow(w.hi))
-        restrict_dev = max(restrict_dev, maxabs(got.entries - want.entries))
+        restrict_dev = max(restrict_dev, maxabs(got.to_dense() - want.to_dense()))
 
     # 8x8 brute-force oracle (explicit-loop matmul, written pre-build)
     nw = SingleModeWindow(7)
     c, s = build_cosine_sine_single(nw)
-    comm = (c @ s - s @ c).entries
+    comm = (c @ s - s @ c).to_dense()
     oracle_dev = maxabs(comm - oracles.brute_single_mode_cs_commutator(7))
 
     edge_dev = 0.0
     for n_max in (7, 63):
         nw = SingleModeWindow(n_max)
         c, s = build_cosine_sine_single(nw)
-        comm = np.array((c @ s - s @ c).entries)
+        comm = np.array((c @ s - s @ c).to_dense())
         edge_dev = max(edge_dev, abs(comm[0, 0] - 0.5j))
         comm[0, 0] = 0.0
         comm[n_max, n_max] = 0.0
@@ -254,8 +254,8 @@ def test_criterion_08_commuting_quadratures():
         ident = np.eye(w.dimension)
         dev = max(
             dev,
-            maxabs(commutator(c, s).entries),
-            maxabs((c @ c).entries + (s @ s).entries - ident),
+            maxabs(commutator(c, s).to_dense()),
+            maxabs((c @ c).to_dense() + (s @ s).to_dense() - ident),
         )
     verdict("criterion-08 commuting quadratures", dev <= 1e-12, f"max dev {dev:.1e}")
 

@@ -35,14 +35,14 @@ class TestSingleModeLadder:
         e = build_sg_single(SingleModeWindow(5))
         vec = np.zeros(6, dtype=complex)
         vec[0] = 1.0
-        assert maxabs(e.entries @ vec) == 0.0
+        assert maxabs(e.to_dense() @ vec) == 0.0
 
     def test_unitarity_defects_sit_at_both_ends(self):
         nw = SingleModeWindow(5)
         e = build_sg_single(nw)
         ident = np.eye(6)
-        left_defect = (e @ e.adjoint()).entries - ident
-        right_defect = (e.adjoint() @ e).entries - ident
+        left_defect = (e @ e.adjoint()).to_dense() - ident
+        right_defect = (e.adjoint() @ e).to_dense() - ident
         expected_left = np.zeros((6, 6), dtype=complex)
         expected_left[5, 5] = -1.0
         expected_right = np.zeros((6, 6), dtype=complex)
@@ -53,7 +53,7 @@ class TestSingleModeLadder:
     def test_quadrature_commutator_matches_the_brute_force_route(self):
         nw = SingleModeWindow(7)
         c, s = build_cosine_sine_single(nw)
-        comm = (c @ s - s @ c).entries
+        comm = (c @ s - s @ c).to_dense()
         assert maxabs(comm - oracles.brute_single_mode_cs_commutator(7)) < 1e-15
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = 0.5j
@@ -69,27 +69,27 @@ class TestPeggBarnett:
     @pytest.mark.parametrize("phi0", [0.0, 0.4])
     def test_exactly_unitary(self, phi0):
         u = build_pegg_barnett(SingleModeWindow(6), phi0)
-        defect = (u @ u.adjoint()).entries - np.eye(7)
+        defect = (u @ u.adjoint()).to_dense() - np.eye(7)
         assert maxabs(defect) < 1e-15
 
     @pytest.mark.parametrize("s,phi0", [(7, 0.0), (7, 0.4), (4, -1.0)])
     def test_spectrum_is_the_offset_grid(self, s, phi0):
         d = s + 1
         u = build_pegg_barnett(SingleModeWindow(s), phi0)
-        values = np.linalg.eigvals(u.entries)
+        values = np.linalg.eigvals(u.to_dense())
         got = np.sort(np.mod(np.angle(values), 2 * math.pi))
         expected = np.sort(np.mod(phi0 + 2 * math.pi * np.arange(d) / d, 2 * math.pi))
         assert np.allclose(got, expected, atol=1e-10)
 
     def test_two_dim_eigenvalues(self):
         u = build_pegg_barnett(SingleModeWindow(1), 0.0)
-        values = sorted(np.linalg.eigvals(u.entries).real, reverse=True)
+        values = sorted(np.linalg.eigvals(u.to_dense()).real, reverse=True)
         assert values == pytest.approx([1.0, -1.0], abs=1e-12)
 
     def test_wrap_element_phase(self):
         phi0 = 0.3
         u = build_pegg_barnett(SingleModeWindow(3), phi0)
-        assert u.entries[3, 0] == pytest.approx(cmath.exp(4j * phi0), abs=1e-15)
+        assert u.to_dense()[3, 0] == pytest.approx(cmath.exp(4j * phi0), abs=1e-15)
 
 
 class TestRestriction:
@@ -99,17 +99,17 @@ class TestRestriction:
         restricted = restrict_to_upper(build_susskind_glogower(w))
         single = build_sg_single(SingleModeWindow(9))
         assert restricted.window == SingleModeWindow(9)
-        assert maxabs(restricted.entries - single.entries) == 0.0
+        assert maxabs(restricted.to_dense() - single.to_dense()) == 0.0
 
     def test_helicity_restricts_to_the_identity(self):
         w = Window(-4, 5)
         restricted = restrict_to_upper(build_helicity(w))
-        assert maxabs(restricted.entries - np.eye(6)) == 0.0
+        assert maxabs(restricted.to_dense() - np.eye(6)) == 0.0
 
     def test_label_number_restricts_to_the_photon_ladder(self):
         w = Window(-4, 5)
         restricted = restrict_to_upper(build_number(w, NumberKind.LABEL))
-        assert maxabs(restricted.entries - np.diag(np.arange(6.0))) == 0.0
+        assert maxabs(restricted.to_dense() - np.diag(np.arange(6.0))) == 0.0
 
 
 class TestPeggBarnettDistribution:

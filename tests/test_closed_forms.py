@@ -58,27 +58,27 @@ CASES = []
 for _w in WINDOWS:
     for _name in sorted(OPERATOR_BUILDERS):
         CASES.append(pytest.param(
-            lambda n=_name, w=_w: OPERATOR_BUILDERS[n](w).entries,
+            lambda n=_name, w=_w: OPERATOR_BUILDERS[n](w).to_dense(),
             lambda n=_name, w=_w: expected_doubled(n, w),
             _name == "polarization_swap" and not _w.is_symmetric,
             id=f"{_name}[{window_id(_w)}]",
         ))
         CASES.append(pytest.param(
-            lambda n=_name, w=_w: restrict_to_upper(OPERATOR_BUILDERS[n](w)).entries,
+            lambda n=_name, w=_w: restrict_to_upper(OPERATOR_BUILDERS[n](w)).to_dense(),
             lambda n=_name, w=_w: expected_upper_block(n, w),
             _name == "polarization_swap" and not _w.is_symmetric,
             id=f"restrict_to_upper({_name})[{window_id(_w)}]",
         ))
 for _s in (0, 1, 6):
     CASES.append(pytest.param(
-        lambda s=_s: build_sg_single(SingleModeWindow(s)).entries,
+        lambda s=_s: build_sg_single(SingleModeWindow(s)).to_dense(),
         lambda s=_s: dense(oracles.single_mode_shift_entries(s), 0, s + 1),
         False,
         id=f"sg_single[{_s}]",
     ))
     for _phi0 in (0.0, 0.4, -1.0):
         CASES.append(pytest.param(
-            lambda s=_s, p=_phi0: build_pegg_barnett(SingleModeWindow(s), p).entries,
+            lambda s=_s, p=_phi0: build_pegg_barnett(SingleModeWindow(s), p).to_dense(),
             lambda s=_s, p=_phi0: dense(
                 oracles.single_mode_shift_entries(s, cmath.exp(1j * (s + 1) * p)), 0, s + 1
             ),

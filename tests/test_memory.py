@@ -1,0 +1,39 @@
+"""Memory guards: every builder, its dump and the C11 check stay within a
+budget linear in D, far below one D x D complex matrix (16 D^2 bytes)."""
+
+import tracemalloc
+
+import pytest
+
+from phaselab import verify
+from phaselab.fockspace import Boundary, Window
+from phaselab.operators import OPERATOR_BUILDERS, operator_to_json_dict
+
+# 64 columns' worth of complex entries
+BUDGET_COLUMNS = 64
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("d", [4096, 65536])
+def test_every_builder_and_its_dump_stay_linear_in_d(d, boundary):
+    window = Window.symmetric(d // 2 - 1, boundary, 1.25)
+    for name, builder in OPERATOR_BUILDERS.items():
+        peak = traced_peak(lambda: operator_to_json_dict(builder(window)))
+        assert peak < BUDGET_COLUMNS * 16 * d, name
+
+
+def test_c11_at_d_65536_stays_linear_in_d():
+    window = Window.symmetric(32767, Boundary.CYCLIC)
+    reports = []
+    peak = traced_peak(lambda: reports.append(verify._check_c11(window, verify.ToleranceProfile())))
+    assert peak < BUDGET_COLUMNS * 16 * window.dimension
+    assert reports[0].passed

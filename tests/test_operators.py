@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from phaselab.fockspace import Boundary, Window, fock_state
+import oracles
+from phaselab.fockspace import Boundary, StateVector, Window, fock_state
+from phaselab.formats import window_to_json_dict
 from phaselab.operators import (
     OPERATOR_BUILDERS,
     NumberKind,
@@ -38,9 +42,9 @@ def maxabs(arr):
 
 def test_helicity_diagonal():
     h = build_helicity(W)
-    assert h.entries[W.position(0), W.position(0)] == 1.0
-    assert h.entries[W.position(-1), W.position(-1)] == -1.0
-    assert np.trace(build_helicity(Window.symmetric(5)).entries) == 0.0
+    assert h.to_dense()[W.position(0), W.position(0)] == 1.0
+    assert h.to_dense()[W.position(-1), W.position(-1)] == -1.0
+    assert np.trace(build_helicity(Window.symmetric(5)).to_dense()) == 0.0
 
 
 class TestUpperLadder:
@@ -59,7 +63,7 @@ class TestUpperLadder:
 
     def test_dagger_matches_adjoint(self):
         assert np.array_equal(
-            build_a_plus(W).adjoint().entries, build_a_plus_dagger(W).entries
+            build_a_plus(W).adjoint().to_dense(), build_a_plus_dagger(W).to_dense()
         )
 
 
@@ -79,7 +83,7 @@ class TestLowerLadder:
 
     def test_dagger_matches_adjoint(self):
         assert np.array_equal(
-            build_a_minus(W).adjoint().entries, build_a_minus_dagger(W).entries
+            build_a_minus(W).adjoint().to_dense(), build_a_minus_dagger(W).to_dense()
         )
 
 
@@ -91,24 +95,24 @@ class TestVacuumCoupler:
 
     def test_nilpotent(self):
         av = build_a_v(W)
-        assert maxabs((av @ av).entries) == 0.0
-        assert maxabs((av.adjoint() @ av.adjoint()).entries) == 0.0
+        assert maxabs((av @ av).to_dense()) == 0.0
+        assert maxabs((av.adjoint() @ av.adjoint()).to_dense()) == 0.0
 
     def test_adjoint_products_are_vacuum_projectors(self):
         av = build_a_v(W)
         p0 = np.outer(fock_state(W, 0).amplitudes, fock_state(W, 0).amplitudes.conj())
         pm1 = np.outer(fock_state(W, -1).amplitudes, fock_state(W, -1).amplitudes.conj())
-        assert maxabs((av.adjoint() @ av).entries - p0) == 0.0
-        assert maxabs((av @ av.adjoint()).entries - pm1) == 0.0
+        assert maxabs((av.adjoint() @ av).to_dense() - p0) == 0.0
+        assert maxabs((av @ av.adjoint()).to_dense() - pm1) == 0.0
 
     def test_equals_helicity_projected_seam_hop(self):
         # dual route: build it from the helicity projectors and the bare
         # |-1><0| hop instead of by direct placement
         ident = np.eye(W.dimension)
-        hel = build_helicity(W).entries
+        hel = build_helicity(W).to_dense()
         hop = np.outer(fock_state(W, -1).amplitudes, fock_state(W, 0).amplitudes.conj())
         sandwich = (ident - hel) / 2 @ hop @ (ident + hel) / 2
-        assert maxabs(build_a_v(W).entries - sandwich) == 0.0
+        assert maxabs(build_a_v(W).to_dense() - sandwich) == 0.0
 
 
 class TestFullLoweringChain:
@@ -124,15 +128,15 @@ class TestFullLoweringChain:
 
     def test_open_mode_is_sum_of_the_three_pieces(self):
         total = (
-            build_a_plus(W).entries + build_a_v(W).entries + build_a_minus(W).entries
+            build_a_plus(W).to_dense() + build_a_v(W).to_dense() + build_a_minus(W).to_dense()
         )
-        assert np.array_equal(build_a_m(W).entries, total)
+        assert np.array_equal(build_a_m(W).to_dense(), total)
 
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_cyclic_wrap_element(self, theta):
         w = Window(-4, 3, Boundary.CYCLIC, theta)
         am = build_a_m(w)
-        wrap = am.entries[w.position(3), w.position(-4)]
+        wrap = am.to_dense()[w.position(3), w.position(-4)]
         assert wrap == pytest.approx(2.0 * cmath.exp(1j * theta), abs=1e-15)
 
     @pytest.mark.parametrize("window", [W, WC, Window(-6, 2, Boundary.CYCLIC, 1.1)])
@@ -140,16 +144,16 @@ class TestFullLoweringChain:
         coeffs = np.array(
             [lowering_coefficient(n) for n in window.indices()], dtype=complex
         )
-        factored = build_susskind_glogower(window).entries @ np.diag(coeffs)
-        assert maxabs(build_a_m(window).entries - factored) < 1e-15
+        factored = build_susskind_glogower(window).to_dense() @ np.diag(coeffs)
+        assert maxabs(build_a_m(window).to_dense() - factored) < 1e-15
 
 
 class TestNumberKinds:
     def test_diagonals(self):
         w = W
-        label = build_number(w, "label").entries
-        photon = build_number(w, NumberKind.PHOTON).entries
-        literal = build_number(w, NumberKind.LITERAL).entries
+        label = build_number(w, "label").to_dense()
+        photon = build_number(w, NumberKind.PHOTON).to_dense()
+        literal = build_number(w, NumberKind.LITERAL).to_dense()
         p = w.position
         assert label[p(-3), p(-3)] == -3.0
         assert photon[p(-3), p(-3)] == 2.0
@@ -157,7 +161,7 @@ class TestNumberKinds:
         assert literal[p(-4), p(-4)] == 2.0
 
     def test_all_kinds_agree_on_the_upper_branch(self):
-        mats = [build_number(W, kind).entries for kind in NumberKind]
+        mats = [build_number(W, kind).to_dense() for kind in NumberKind]
         for n in range(0, W.hi + 1):
             p = W.position(n)
             values = {m[p, p] for m in mats}
@@ -187,8 +191,8 @@ class TestPhaseLadder:
     def test_cyclic_unitarity(self):
         e = build_susskind_glogower(WC)
         ident = np.eye(WC.dimension)
-        assert maxabs((e @ e.adjoint()).entries - ident) == 0.0
-        assert maxabs((e.adjoint() @ e).entries - ident) == 0.0
+        assert maxabs((e @ e.adjoint()).to_dense() - ident) == 0.0
+        assert maxabs((e.adjoint() @ e).to_dense() - ident) == 0.0
 
 
 class TestQuadratures:
@@ -198,11 +202,11 @@ class TestQuadratures:
 
     def test_single_shift_element_halved(self):
         c, _ = build_cosine_sine(W)
-        assert c.entries[W.position(1), W.position(2)] == 0.5
+        assert c.to_dense()[W.position(1), W.position(2)] == 0.5
 
     def test_cyclic_squares_sum_to_identity(self):
         c, s = build_cosine_sine(WC)
-        total = (c @ c).entries + (s @ s).entries
+        total = (c @ c).to_dense() + (s @ s).to_dense()
         assert maxabs(total - np.eye(WC.dimension)) < 1e-15
 
 
@@ -221,7 +225,7 @@ class TestPolarizationSwap:
         w = Window.symmetric(3)
         swap = build_polarization_swap(w)
         hel = build_helicity(w)
-        assert maxabs((swap @ hel @ swap.adjoint()).entries + hel.entries) == 0.0
+        assert maxabs((swap @ hel @ swap.adjoint()).to_dense() + hel.to_dense()) == 0.0
 
     def test_asymmetric_window_rejected(self):
         with pytest.raises(ValueError):
@@ -231,18 +235,18 @@ class TestPolarizationSwap:
 class TestArithmetic:
     def test_commutator_with_itself_vanishes(self):
         am = build_a_m(W)
-        assert maxabs(commutator(am, am).entries) == 0.0
+        assert maxabs(commutator(am, am).to_dense()) == 0.0
 
     def test_commutator_diagonal_values(self):
         am = build_a_m(W)
-        comm = commutator(am, am.adjoint()).entries
+        comm = commutator(am, am.adjoint()).to_dense()
         assert comm[W.position(2), W.position(2)] == pytest.approx(1.0, abs=1e-14)
         assert comm[W.position(0), W.position(0)] == pytest.approx(0.0, abs=1e-14)
         assert comm[W.position(-1), W.position(-1)] == pytest.approx(0.0, abs=1e-14)
 
     def test_adjoint_is_an_involution(self):
         am = build_a_m(WC)
-        assert np.array_equal(am.adjoint().adjoint().entries, am.entries)
+        assert np.array_equal(am.adjoint().adjoint().to_dense(), am.to_dense())
 
     def test_identity_application(self):
         state = fock_state(W, 1)
@@ -266,13 +270,13 @@ class TestArithmetic:
         bad = np.zeros((W.dimension, W.dimension), dtype=complex)
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
-            OperatorMatrix(W, bad, "bad")
+            oracles.from_dense(W, bad, "bad")
 
 
 def test_builder_registry_covers_the_window():
     for name, builder in OPERATOR_BUILDERS.items():
         op = builder(Window.symmetric(3, Boundary.CYCLIC))
-        assert op.entries.shape == (8, 8), name
+        assert op.to_dense().shape == (8, 8), name
 
 
 def test_operator_dump_format():
@@ -297,3 +301,81 @@ def test_operator_dump_uses_basis_labels_and_sorted_order():
     wrap = [e for e in dump["entries"] if (e[0], e[1]) == (1, -2)][0]
     assert wrap[2] == pytest.approx(math.cos(0.3), abs=1e-12)
     assert wrap[3] == pytest.approx(math.sin(0.3), abs=1e-12)
+
+
+# D from 2 to 40, both boundaries, half of them symmetric so the branch
+# swap (which does not commute with the shifts) takes part; wrap -0.0
+# gives E a wrap weight 1 - 0j
+boundaries = st.sampled_from(list(Boundary))
+wraps = st.sampled_from([0.0, 1.25, -2.5, -0.0])
+windows = (st.builds(Window, lo=st.integers(-20, -1), hi=st.integers(0, 19),
+                     boundary=boundaries, wrap_phase=wraps)
+           | st.builds(Window.symmetric, st.integers(0, 19), boundaries, wraps))
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def dense_dump(window, label, m):
+    """The dump as np.nonzero over a dense matrix reads it."""
+    rows, cols = np.nonzero(m != 0)
+    values = m[rows, cols]
+    entries = zip((rows + window.lo).tolist(), (cols + window.lo).tolist(),
+                  values.real.tolist(), values.imag.tolist())
+    return {"window": window_to_json_dict(window), "label": label,
+            "entries": [list(entry) for entry in entries]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(windows)
+@example(Window(-1, 0, Boundary.CYCLIC, 1.25))  # D = 2: the +1 and -1 shifts coincide
+@example(Window(-1, 0, Boundary.OPEN))
+@example(Window(-1, 0, Boundary.CYCLIC, -0.0))
+@example(Window.symmetric(3, Boundary.CYCLIC, 1.25))
+def test_structured_arithmetic_matches_dense_numpy(window):
+    ops = {name: builder(window) for name, builder in OPERATOR_BUILDERS.items()
+           if window.is_symmetric or name != "polarization_swap"}
+    dense = {name: op.to_dense() for name, op in ops.items()}
+    rng = np.random.default_rng(window.dimension)
+    state = StateVector(window, rng.standard_normal(window.dimension)
+                        + 1j * rng.standard_normal(window.dimension))
+    for name, op in ops.items():
+        m = dense[name]
+        np.testing.assert_array_equal(op.adjoint().to_dense(), m.conj().T)
+        np.testing.assert_array_equal((-op).to_dense(), -m)
+        assert_close((op * (1.5 - 0.5j)).to_dense(), m * (1.5 - 0.5j))
+        assert_close((2 * op).to_dense(), 2 * m)
+        assert_close(op.apply(state).amplitudes, m @ state.amplitudes)
+        assert op.hermiticity_defect() == pytest.approx(np.max(np.abs(m - m.conj().T)), abs=1e-15)
+        assert json.dumps(operator_to_json_dict(op)) == json.dumps(dense_dump(window, op.label, m))
+        for key, other in ops.items():
+            n = dense[key]
+            assert_close((op @ other).to_dense(), m @ n)
+            # exact except where three or more terms meet (D = 2), which
+            # the structured sum adds in term order
+            assert_close((op + other).to_dense(), m + n)
+            assert_close((op - other).to_dense(), m - n)
+            assert_close(commutator(op, other).to_dense(), m @ n - n @ m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(windows)
+@example(Window(-1, 0, Boundary.CYCLIC, 1.25))
+@example(Window(-1, 0, Boundary.CYCLIC, -0.0))
+@example(Window(-1, 0, Boundary.OPEN))
+def test_quadrature_dumps_match_the_dense_quadrature_formula(window):
+    # each printed zero keeps the sign the dense entrywise formula gives it
+    e = build_susskind_glogower(window).to_dense()
+    c, s = build_cosine_sine(window)
+    for op, m in ((c, (e + e.conj().T) / 2.0), (s, (e - e.conj().T) / 2.0j)):
+        assert json.dumps(operator_to_json_dict(op)) == json.dumps(dense_dump(window, op.label, m))
+
+
+def test_terms_must_be_permutations():
+    with pytest.raises(ValueError):
+        OperatorMatrix(W, [(np.zeros(W.dimension, dtype=int), np.ones(W.dimension))], "bad")
+    with pytest.raises(ValueError):
+        OperatorMatrix(W, [(np.arange(W.dimension) - 1, np.ones(W.dimension))], "bad")
+    with pytest.raises(ValueError):
+        OperatorMatrix(W, [(np.arange(W.dimension) + 0.0, np.ones(W.dimension))], "bad")

@@ -8,7 +8,6 @@ from phaselab import verify
 from phaselab.fockspace import Boundary, Window
 from phaselab.operators import (
     NumberKind,
-    OperatorMatrix,
     build_number,
     build_susskind_glogower,
     commutator,
@@ -67,9 +66,9 @@ def _perturbed(builder, row, col):
     """builder, with the entry at basis labels (row, col) moved by 1e-9."""
     def build(window):
         op = builder(window)
-        entries = np.array(op.entries)
+        entries = op.to_dense()
         entries[window.position(row), window.position(col)] += 1e-9
-        return OperatorMatrix(window, entries, op.label)
+        return oracles.from_dense(window, entries, op.label)
     return build
 
 
@@ -110,11 +109,11 @@ def test_c08_verdicts_match_the_dense_products(monkeypatch, lo, hi, boundary, wr
     noise = 1e-9 * np.random.default_rng(window.dimension).standard_normal((window.dimension,) * 2)
 
     def noisy(w):
-        return OperatorMatrix(w, build(w).entries + noise, "noisy E")
+        return oracles.from_dense(w, build(w).to_dense() + noise, "noisy E")
 
     for builder, passes in [(build, True), (_perturbed(build, -1, 0), False), (noisy, False)]:
         monkeypatch.setattr(verify, "build_susskind_glogower", builder)
-        dense = oracles.dense_c08_deviation(builder(window).entries, labels, phi0, cyclic)
+        dense = oracles.dense_c08_deviation(builder(window).to_dense(), labels, phi0, cyclic)
         report = verify._check_c08(window, tol)
         assert report.passed == (dense <= tol.exact) == passes
         if not passes:
@@ -128,8 +127,8 @@ class TestNumberKindAdjudication:
 
     def interior_residual(self, kind, signs):
         e = build_susskind_glogower(self.W)
-        comm = commutator(e, build_number(self.W, kind)).entries
-        expected = e.entries * signs[np.newaxis, :]
+        comm = commutator(e, build_number(self.W, kind)).to_dense()
+        expected = e.to_dense() * signs[np.newaxis, :]
         return float(np.max(np.abs(comm - expected)))
 
     def test_label_kind_satisfies_the_ladder_identity(self):
