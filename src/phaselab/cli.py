@@ -21,11 +21,7 @@ import numpy as np
 
 from .fockspace import Boundary, Window, parse_state_spec
 from .formats import csv_text, json_text, window_to_json_dict
-from .operators import (
-    OPERATOR_BUILDERS,
-    build_susskind_glogower,
-    operator_to_json_dict,
-)
+from .operators import OPERATOR_BUILDERS, operator_to_json_dict
 from .phase import (
     _eigenphase,
     distribution_to_csv,
@@ -209,8 +205,7 @@ def _run_check(config: RunConfig) -> tuple[str, int]:
 
 
 def _run_spectrum(config: RunConfig) -> tuple[str, int]:
-    operator = build_susskind_glogower(config.window)
-    pairs = eigen_decompose_sg(operator)
+    pairs = eigen_decompose_sg(config.window)
     header = ["k", "phase", "re", "im"]
     rows = [(k, _eigenphase(value, config.window), value.real, value.imag)
             for k, (value, _vec) in enumerate(pairs)]

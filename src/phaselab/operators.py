@@ -23,7 +23,8 @@ operators and ignore the boundary mode; only a_m and E close the edge.
 Every builder output has at most two nonzeros per column, and so has
 every product, adjoint and sum the checks form: each is held as a few
 terms (p, w), a permutation p with weights w. Products, adjoints and sums
-cost O(D) per term; only to_dense() forms a D x D array.
+cost O(D) per term; only to_dense, the tests' dense reference, forms a
+D x D array.
 
 Builders and arithmetic are pure and OperatorMatrix is immutable, so
 parallel construction is safe and bit-identical to serial construction.
@@ -111,7 +112,7 @@ class OperatorMatrix:
         return keys // d, keys % d, np.add.reduceat(values, starts)
 
     def to_dense(self) -> np.ndarray:
-        """The D x D matrix; the only route to dense entries."""
+        """The D x D matrix: the tests' only route to dense entries."""
         rows, cols, values = self.coalesced()
         m = np.zeros((self.window.dimension,) * 2, dtype=complex)
         m[rows, cols] = values

@@ -96,13 +96,12 @@ def phase_state(window: Window, phi: float) -> StateVector:
     return StateVector(window, amplitudes)
 
 
-def _phase_fft(amplitudes: np.ndarray, labels: np.ndarray, phi0: float, out=None) -> np.ndarray:
+def _phase_fft(amplitudes: np.ndarray, labels: np.ndarray, phi0: float) -> np.ndarray:
     """sum_j c_j e^{-i l_j phi0} e^{-2 pi i jk/D} over labels l_j = l_0 + j,
     along the last axis (a vector, or one row per vector): the overlaps
     with the grid phi0 + 2 pi k / D, up to the unimodular k-factor
-    e^{-2 pi i l_0 k/D} and 1/sqrt(D). Written into out when it is given
-    (it may be amplitudes itself), else into a new array."""
-    weighted = np.multiply(amplitudes, np.exp(-1j * labels * phi0), out=out)
+    e^{-2 pi i l_0 k/D} and 1/sqrt(D)."""
+    weighted = amplitudes * np.exp(-1j * labels * phi0)
     return np.fft.fft(weighted, out=weighted)
 
 
@@ -114,20 +113,20 @@ def _labels_and_factors(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.exp(-1j * _TWO_PI * ((labels[0] * np.arange(d)) % d) / d) / math.sqrt(d)
 
 
-def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid, out=None) -> np.ndarray:
+def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """B: the overlaps <phi_k|psi> with the grid's phase states, of a
-    vector or of each row of a C-ordered matrix; into out as _phase_fft."""
+    vector or of each row of a matrix."""
     labels, factors = _labels_and_factors(grid)
-    overlaps = _phase_fft(amplitudes, labels, grid.phi0, out)
+    overlaps = _phase_fft(amplitudes, labels, grid.phi0)
     overlaps *= factors
     return overlaps
 
 
-def _from_phase_basis(overlaps: np.ndarray, grid: PhaseGrid, out=None) -> np.ndarray:
+def _from_phase_basis(overlaps: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """K = B^dagger: sum_k x_k |phi_k> in the label basis, of a vector or
-    of each row of a C-ordered matrix; into out as _phase_fft."""
+    of each row of a matrix."""
     labels, factors = _labels_and_factors(grid)
-    spread = np.multiply(overlaps, factors.conj(), out=out)
+    spread = overlaps * factors.conj()
     np.fft.ifft(spread, out=spread)
     spread *= len(labels)
     spread *= np.exp(1j * labels * grid.phi0)
@@ -173,32 +172,33 @@ def _eigenphase(value: complex, window: Window) -> float:
     return math.nextafter(_TWO_PI, 0.0) if phase == _TWO_PI else phase
 
 
-def eigen_decompose_sg(op: OperatorMatrix) -> list[tuple[complex, StateVector]]:
-    """Eigenpairs of the cyclic ladder operator, sorted by phase angle in
-    [0, 2 pi), eigenvectors unit-norm with the amplitude at label 0 made
-    real positive.
+def eigen_decompose_sg(window: Window) -> list[tuple[complex, StateVector]]:
+    """Eigenpairs of the window's cyclic ladder E in closed form, sorted by
+    phase angle in [0, 2 pi): e^{i phi_k} on eigenphase_grid, with the
+    unit-norm eigenvector e^{i n phi_k} / sqrt(D), real positive at label 0.
 
-    Open-mode operators are refused: truncation leaves them defective at
-    the edge and the numerical output would be misleading.
+    2 pi k/D = (q + m/D) pi/2 with q = rint(4k/D) and the exact m = 4k - qD,
+    so e^{i phi_k} = i^q e^{i(phi_0 + m pi/(2D))}: float pi's error enters
+    only an angle below pi/4 + pi/D.
+
+    Open-mode windows are refused: truncation leaves the ladder defective
+    at the edge and the numerical output would be misleading.
     """
-    if op.window.boundary is not Boundary.CYCLIC:
+    if window.boundary is not Boundary.CYCLIC:
         raise ValueError(
             "eigendecomposition needs a cyclic-boundary ladder operator; "
             "the open-mode operator is defective at the truncation edge"
         )
-    values, vectors = np.linalg.eig(op.to_dense())
-    order = np.argsort([_eigenphase(value, op.window) for value in values])
-
-    pos0 = op.window.position(0)
-    pairs = []
-    for k in order:
-        vec = vectors[:, k]
-        vec = vec / np.linalg.norm(vec)
-        anchor = vec[pos0]
-        if abs(anchor) > 1e-14:
-            vec = vec * (anchor.conjugate() / abs(anchor))
-        pairs.append((complex(values[k]), StateVector(op.window, vec)))
-    return pairs
+    grid = eigenphase_grid(window)
+    d = window.dimension
+    k = np.arange(d)
+    quarter = np.rint(4 * k / d).astype(int)
+    residual = grid.phi0 + (4 * k - quarter * d) * math.pi / (2 * d)
+    values = np.array([1, 1j, -1, -1j])[quarter % 4] * np.exp(1j * residual)
+    order = np.argsort([_eigenphase(value, window) for value in values])
+    labels, norm = window.indices(), math.sqrt(d)
+    return [(complex(values[j]), StateVector(window, np.exp(1j * labels * grid.points[j]) / norm))
+            for j in order]
 
 
 def cosine_sine_expectation(

@@ -4,7 +4,8 @@ Everything here is computed from first principles with explicit sums and
 plain loops, deliberately avoiding the package's vectorized construction
 paths. Tests compare the two independent routes to the same numbers, so
 no reference here imports from phaselab; only from_dense, which hands a
-dense test matrix to the package's operator type, does.
+dense test matrix to the package's operator type, and dense_eigenpairs,
+which sorts and wraps its output as the package does, do.
 """
 
 import cmath
@@ -63,6 +64,28 @@ def dense_c08_deviation(e_entries, labels, phi0, cyclic):
     if not cyclic:
         residual[-1, :] = 0.0
     return max(float(np.max(np.abs(m))) for m in (bras @ kets - ident, kets @ bras - ident, residual))
+
+
+def dense_eigenpairs(op):
+    """Eigenpairs of a cyclic ladder by LAPACK eig on its dense matrix,
+    sorted by phase angle in [0, 2 pi), eigenvectors unit-norm with the
+    amplitude at label 0 made real positive."""
+    from phaselab.fockspace import StateVector
+    from phaselab.phase import _eigenphase
+
+    values, vectors = np.linalg.eig(op.to_dense())
+    order = np.argsort([_eigenphase(value, op.window) for value in values])
+
+    pos0 = op.window.position(0)
+    pairs = []
+    for k in order:
+        vec = vectors[:, k]
+        vec = vec / np.linalg.norm(vec)
+        anchor = vec[pos0]
+        if abs(anchor) > 1e-14:
+            vec = vec * (anchor.conjugate() / abs(anchor))
+        pairs.append((complex(values[k]), StateVector(op.window, vec)))
+    return pairs
 
 
 def circular_mean_variance(angles, weights):

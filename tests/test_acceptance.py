@@ -187,7 +187,7 @@ def test_criterion_05_spectrum(d):
     """Cyclic ladder eigenvalues are exactly the uniform unimodular grid
     and eigenvectors match the analytic phase states."""
     w = Window.symmetric(d // 2 - 1, Boundary.CYCLIC)
-    pairs = eigen_decompose_sg(build_susskind_glogower(w))
+    pairs = eigen_decompose_sg(w)
     values = np.array([v for v, _ in pairs])
     unimod = maxabs(np.abs(values) - 1.0)
     expected = np.exp(2j * math.pi * np.arange(d) / d)

@@ -51,7 +51,7 @@ class TestCheckCommand:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "n_max": 5,
-            "tolerance_profile": {"exact": 1e-300, "accumulated": 1e-300},
+            "tolerance_profile": {"exact": 1e-300},
         }))
         code, out, err = run_cli(capsys, "check", "--config", str(config))
         assert code == 1
@@ -83,6 +83,15 @@ class TestSpectrumCommand:
                                "--format", "csv")
         assert code == 0
         assert out.split("\n")[1:3] == ["0,3.14159265354,-1,5e-11", "1,6.28318530713,1,-5e-11"]
+
+    def test_an_eigenphase_a_hair_below_two_pi_is_listed_last(self, capsys):
+        # lambda_0 = e^{-i 1e-17/64} has phase 2 pi - 1.6e-19, not 0
+        code, out, _ = run_cli(capsys, "spectrum", "--n-max", "31", "--wrap-phase=-1e-17",
+                               "--format", "csv")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[1].split(",")[:2] == ["0", "0.0981747704247"]
+        assert lines[-1] == "63,6.28318530718,1,-1.5625e-19"
 
     def test_open_boundary_refused(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--n-max", "3", "--boundary", "open")
@@ -213,6 +222,7 @@ class TestConfigResolution:
         ("check", {"n_max": 2, "tolerance_profile": {"exact": -1e-12}}),
         ("check", {"n_max": 2, "tolerance_profile": {"accumulated": float("inf")}}),
         ("check", {"n_max": 2, "tolerance_profile": {"accumulated": float("nan")}}),
+        ("check", {"n_max": 2, "tolerance_profile": {"accumulated": 1e-10}}),
         ("check", {"n_max": 2, "tolerance_profile": {"exact": "1e-12"}}),
         ("check", {"n_max": 2, "out": 1}),
         ("phasedist", {"n_max": 2, "state": 5}),

@@ -37,3 +37,10 @@ def test_c11_at_d_65536_stays_linear_in_d():
     peak = traced_peak(lambda: reports.append(verify._check_c11(window, verify.ToleranceProfile())))
     assert peak < BUDGET_COLUMNS * 16 * window.dimension
     assert reports[0].passed
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_c08_holds_at_most_two_d_by_d_matrices(boundary):
+    window = Window.symmetric(255, boundary, 1.25)
+    peak = traced_peak(lambda: verify._check_c08(window, verify.ToleranceProfile()))
+    assert peak <= 2 * 16 * window.dimension ** 2 + 2 ** 20

@@ -112,7 +112,7 @@ class TestEigenDecomposition:
     @pytest.mark.parametrize("d", [2, 16])
     def test_spectrum_is_the_uniform_grid(self, d):
         w = Window.symmetric(d // 2 - 1, Boundary.CYCLIC)
-        pairs = eigen_decompose_sg(build_susskind_glogower(w))
+        pairs = eigen_decompose_sg(w)
         assert len(pairs) == d
         values = np.array([value for value, _ in pairs])
         assert np.max(np.abs(np.abs(values) - 1.0)) < 1e-10
@@ -120,14 +120,14 @@ class TestEigenDecomposition:
         assert np.max(np.abs(values - expected)) < 1e-10
 
     def test_two_dim_eigenvalues(self):
-        pairs = eigen_decompose_sg(build_susskind_glogower(D2))
+        pairs = eigen_decompose_sg(D2)
         values = sorted((value.real for value, _ in pairs), reverse=True)
         assert values == pytest.approx([1.0, -1.0], abs=1e-12)
 
     def test_eigenvectors_match_the_analytic_phase_states(self):
         w = Window.symmetric(7, Boundary.CYCLIC)
         grid = phase_grid(w)
-        for k, (value, vec) in enumerate(eigen_decompose_sg(build_susskind_glogower(w))):
+        for k, (value, vec) in enumerate(eigen_decompose_sg(w)):
             overlap = abs(phase_state(w, grid.points[k]).inner(vec))
             assert overlap >= 1.0 - 1e-10
 
@@ -135,21 +135,50 @@ class TestEigenDecomposition:
         theta = 0.9
         w = Window.symmetric(4, Boundary.CYCLIC, theta)
         d = w.dimension
-        pairs = eigen_decompose_sg(build_susskind_glogower(w))
+        pairs = eigen_decompose_sg(w)
         phases = sorted(np.angle(value) % (2 * math.pi) for value, _ in pairs)
         expected = sorted((theta + 2 * math.pi * k) / d for k in range(d))
         assert np.allclose(phases, expected, atol=1e-10)
 
     def test_anchor_amplitude_is_real_positive(self):
         w = Window.symmetric(5, Boundary.CYCLIC)
-        for _, vec in eigen_decompose_sg(build_susskind_glogower(w)):
+        for _, vec in eigen_decompose_sg(w):
             anchor = vec.amplitude(0)
             assert anchor.real > 0
             assert abs(anchor.imag) < 1e-12
 
     def test_open_mode_refused(self):
         with pytest.raises(ValueError):
-            eigen_decompose_sg(build_susskind_glogower(Window.symmetric(3)))
+            eigen_decompose_sg(Window.symmetric(3))
+
+    @pytest.mark.parametrize("wrap", [0.0, 0.7, -2.5, 2 * math.pi, -1e-10])
+    @pytest.mark.parametrize("d", [2, 3, 16, 128])
+    def test_closed_form_pairs_solve_the_built_ladder(self, d, wrap):
+        w = Window(-(d // 2), (d - 1) // 2, Boundary.CYCLIC, wrap)
+        e = build_susskind_glogower(w)
+        pairs = eigen_decompose_sg(w)
+        dense = e.to_dense()
+        for value, vec in pairs:
+            assert np.max(np.abs(dense @ vec.amplitudes - value * vec.amplitudes)) <= 1e-13
+        values = np.array([value for value, _ in pairs])
+        lapack = np.array([value for value, _ in oracles.dense_eigenpairs(e)])
+        assert np.max(np.abs(values - lapack)) <= 1e-13
+
+    @pytest.mark.parametrize("wrap", [0.0, 0.7, -2.5, -1e-10])
+    @pytest.mark.parametrize("d", [1024, 4096])
+    def test_eigenvalues_match_the_exact_grid_at_large_d(self, d, wrap):
+        w = Window.symmetric(d // 2 - 1, Boundary.CYCLIC, wrap)
+        theta = cmath.phase(cmath.exp(1j * wrap))
+        expected = sorted((cmath.exp(1j * (theta + 2 * math.pi * k) / d) for k in range(d)),
+                          key=lambda value: _eigenphase(value, w))
+        values = [value for value, _ in eigen_decompose_sg(w)]
+        assert max(abs(a - b) for a, b in zip(values, expected)) <= 2e-15
+
+    @pytest.mark.parametrize("d", [4, 1024])
+    def test_quarter_turns_are_exact(self, d):
+        w = Window.symmetric(d // 2 - 1, Boundary.CYCLIC)
+        values = [value for value, _ in eigen_decompose_sg(w)]
+        assert [values[q * d // 4] for q in range(4)] == [1, 1j, -1, -1j]
 
 
 class TestPhaseDistribution:

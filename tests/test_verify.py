@@ -181,7 +181,6 @@ class TestToleranceProfile:
     def test_default_values(self):
         profile = ToleranceProfile()
         assert profile.exact == 1e-12
-        assert profile.accumulated == 1e-10
 
     def test_named_lookup(self):
         assert ToleranceProfile.named("default") == ToleranceProfile()
@@ -189,12 +188,12 @@ class TestToleranceProfile:
             ToleranceProfile.named("nonsense")
 
     def test_loose_profile_still_passes(self):
-        loose = ToleranceProfile(exact=1e-6, accumulated=1e-5)
+        loose = ToleranceProfile(exact=1e-6)
         assert all(r.passed for r in run_checks(Window.symmetric(4, Boundary.CYCLIC), loose))
 
     def test_impossible_profile_fails_closed(self):
         # a zero tolerance flags any check whose arithmetic is not exact
-        none = ToleranceProfile(exact=0.0, accumulated=0.0)
+        none = ToleranceProfile(exact=0.0)
         reports = run_checks(Window.symmetric(4, Boundary.CYCLIC), none)
         c01 = next(r for r in reports if r.check_id == "C01")
         assert c01.passed  # 0/1 products are exact even at tolerance zero
