@@ -6,7 +6,7 @@ phase ladder), phasedist (phase distribution of a state), operators
 output file; diagnostics go to stderr.
 
 Exit codes: 0 success (for check: all checks passed), 1 one or more
-checks failed, 2 invalid configuration, 3 runtime numerical failure.
+checks failed, 2 invalid configuration, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -205,10 +205,10 @@ def _run_check(config: RunConfig) -> tuple[str, int]:
 
 
 def _run_spectrum(config: RunConfig) -> tuple[str, int]:
-    pairs = eigen_decompose_sg(config.window)
+    values = np.array([value for value, _vec in eigen_decompose_sg(config.window)])
     header = ["k", "phase", "re", "im"]
-    rows = [(k, _eigenphase(value, config.window), value.real, value.imag)
-            for k, (value, _vec) in enumerate(pairs)]
+    rows = zip(range(len(values)), _eigenphase(values, config.window).tolist(),
+               values.real.tolist(), values.imag.tolist())
     if config.output_format == "json":
         payload = json_text({
             "window": window_to_json_dict(config.window),
@@ -264,6 +264,9 @@ def main(argv=None) -> int:
         return 2
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     if config.output_path:
         try:

@@ -33,7 +33,6 @@ parallel construction is safe and bit-identical to serial construction.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -266,23 +265,18 @@ def build_a_v(window: Window) -> OperatorMatrix:
     return _weighted_shift(window, "a_v", _chain(window, lambda n: n == 0))
 
 
-def lowering_coefficient(n: int) -> float:
+def lowering_coefficient(n):
     """Coefficient of the n -> n-1 transition in the full lowering chain:
-    sqrt(n) above the seam, 1 across it, sqrt(|n|) below."""
-    if n >= 1:
-        return math.sqrt(n)
-    if n == 0:
-        return 1.0
-    return math.sqrt(-n)
+    sqrt(n) above the seam, 1 across it, sqrt(|n|) below; elementwise on
+    an array of labels."""
+    return np.sqrt(np.maximum(np.abs(n), 1))
 
 
-def _chain(window: Window, keep=lambda n: True) -> list[float]:
+def _chain(window: Window, keep=lambda n: True) -> np.ndarray:
     """lowering_coefficient(n) of the steps n -> n-1, n = lo+1..hi in
     storage order; zero where keep(n) is false."""
-    return [
-        lowering_coefficient(n) if keep(n) else 0.0
-        for n in range(window.lo + 1, window.hi + 1)
-    ]
+    n = window.indices()[1:]
+    return np.where(keep(n), lowering_coefficient(n), 0.0)
 
 
 def build_a_m(window: Window) -> OperatorMatrix:

@@ -160,26 +160,34 @@ def phase_distribution(state: StateVector, grid: PhaseGrid) -> PhaseDistribution
     return _born_distribution(state.amplitudes, state.window.indices() + 0.5, grid)
 
 
-def _eigenphase(value: complex, window: Window) -> float:
-    """Angle in [0, 2 pi) of an eigenvalue of the window's cyclic ladder.
-    Only a wrap_phase that is a multiple of 2 pi gives an exact eigenphase
-    0, which may round to just below 2 pi; that one is folded back to 0.
-    Any other angle a hair below 0 can round up to 2 pi in the fold; it is
-    kept as the largest float below 2 pi, since it is not 0."""
-    phase = float(np.angle(value) % _TWO_PI)
-    if window.wrap_phase % _TWO_PI == 0.0 and phase > _TWO_PI - 1e-9:
-        return 0.0
-    return math.nextafter(_TWO_PI, 0.0) if phase == _TWO_PI else phase
+def _eigenphase(values, window: Window):
+    """Angles in [0, 2 pi) of eigenvalues of the window's cyclic ladder,
+    elementwise. Only a wrap_phase that is a multiple of 2 pi gives exact
+    eigenphases 0, which may round to just below 2 pi; those are folded
+    back to 0. Any other angle a hair below 0 can round up to 2 pi in the
+    fold; it is kept as the largest float below 2 pi, since it is not 0."""
+    phases = np.angle(values) % _TWO_PI
+    if window.wrap_phase % _TWO_PI == 0.0:
+        phases = np.where(phases > _TWO_PI - 1e-9, 0.0, phases)
+    return np.minimum(phases, math.nextafter(_TWO_PI, 0.0))
+
+
+def _unit_phasors(grid: PhaseGrid) -> np.ndarray:
+    """e^{i phi_k} on the grid's points phi_k = phi0 + 2 pi k/D. With
+    q = rint(4k/D) and the exact m = 4k - qD, 2 pi k/D = (q + m/D) pi/2, so
+    e^{i phi_k} = i^q e^{i(phi0 + m pi/(2D))}: float pi's error enters only
+    an angle below pi/4 + |phi0|."""
+    d = grid.window.dimension
+    k = np.arange(d)
+    quarter = np.rint(4 * k / d).astype(int)
+    residual = grid.phi0 + (4 * k - quarter * d) * math.pi / (2 * d)
+    return np.array([1, 1j, -1, -1j])[quarter % 4] * np.exp(1j * residual)
 
 
 def eigen_decompose_sg(window: Window) -> list[tuple[complex, StateVector]]:
     """Eigenpairs of the window's cyclic ladder E in closed form, sorted by
     phase angle in [0, 2 pi): e^{i phi_k} on eigenphase_grid, with the
     unit-norm eigenvector e^{i n phi_k} / sqrt(D), real positive at label 0.
-
-    2 pi k/D = (q + m/D) pi/2 with q = rint(4k/D) and the exact m = 4k - qD,
-    so e^{i phi_k} = i^q e^{i(phi_0 + m pi/(2D))}: float pi's error enters
-    only an angle below pi/4 + pi/D.
 
     Open-mode windows are refused: truncation leaves the ladder defective
     at the edge and the numerical output would be misleading.
@@ -190,15 +198,10 @@ def eigen_decompose_sg(window: Window) -> list[tuple[complex, StateVector]]:
             "the open-mode operator is defective at the truncation edge"
         )
     grid = eigenphase_grid(window)
-    d = window.dimension
-    k = np.arange(d)
-    quarter = np.rint(4 * k / d).astype(int)
-    residual = grid.phi0 + (4 * k - quarter * d) * math.pi / (2 * d)
-    values = np.array([1, 1j, -1, -1j])[quarter % 4] * np.exp(1j * residual)
-    order = np.argsort([_eigenphase(value, window) for value in values])
-    labels, norm = window.indices(), math.sqrt(d)
+    values = _unit_phasors(grid)
+    labels, norm = window.indices(), math.sqrt(window.dimension)
     return [(complex(values[j]), StateVector(window, np.exp(1j * labels * grid.points[j]) / norm))
-            for j in order]
+            for j in np.argsort(_eigenphase(values, window))]
 
 
 def cosine_sine_expectation(

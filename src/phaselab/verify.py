@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import build_cosine_sine_single, build_sg_single, restrict_to_upper
-from .fockspace import Boundary, SingleModeWindow, StateVector, Window
+from .fockspace import Boundary, SingleModeWindow, StateVector, Window, fock_state
 from .formats import window_to_json_dict
 from .operators import (
     NumberKind,
@@ -32,7 +32,7 @@ from .operators import (
     build_susskind_glogower,
     commutator,
 )
-from .phase import _from_phase_basis, _to_phase_basis, eigenphase_grid, phase_grid
+from .phase import _from_phase_basis, _to_phase_basis, _unit_phasors, eigenphase_grid, phase_grid
 
 # Bound constant for C11: residual * D was measured at <= 5.64 for the
 # band-limited test amplitude (and pi/4 for the single-mode fallback)
@@ -261,7 +261,7 @@ def _check_c08(window, tol):
     residual_t *= w
     for p, w in rest:
         residual_t += np.take(kt, p, axis=1) * w
-    kt *= np.exp(1j * grid.points)[:, np.newaxis]
+    kt *= _unit_phasors(grid)[:, np.newaxis]
     residual_t -= kt
     del kt
     if cyclic:
@@ -280,11 +280,10 @@ def _check_c08(window, tol):
 
 
 def _check_c09(window, tol):
-    points = phase_grid(window, 0.0).points
-    # the two vacuum columns (labels 0 and -1) of the phase bras
-    vacua = np.exp(-1j * np.outer(points, (0.5, -0.5))) / math.sqrt(window.dimension)
-    upper, lower = vacua[:, 0], vacua[:, 1]
-    dev = _maxabs(upper.conj() / lower.conj() - np.exp(1j * points))
+    grid = phase_grid(window, 0.0)
+    # the components <0|phi_k> and <-1|phi_k> of every phase state
+    upper, lower = (_to_phase_basis(fock_state(window, n).amplitudes, grid).conj() for n in (0, -1))
+    dev = _maxabs(upper / lower - _unit_phasors(grid))
     return _report(
         "C09", window, dev, tol.exact,
         "the two vacuum components of every phase state differ by "

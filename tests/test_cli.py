@@ -59,6 +59,16 @@ class TestCheckCommand:
         reports = json.loads(out)  # the report is still written
         assert any(not r["passed"] for r in reports)
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 2.33 TiB for an array", ""])
+    def test_running_out_of_memory_exits_three(self, capsys, monkeypatch, message):
+        def exhausted(*_args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("phaselab.cli.run_checks", exhausted)
+        code, out, err = run_cli(capsys, "check", "--n-max", "3")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "memory" in err
+
 
 class TestSpectrumCommand:
     def test_csv_rows(self, capsys):
@@ -220,6 +230,8 @@ class TestConfigResolution:
         ("check", {"n_max": 2, "tolerance_profile": {"bogus": 1}}),
         ("check", {"n_max": 2, "tolerance_profile": {"exact": 0.0}}),
         ("check", {"n_max": 2, "tolerance_profile": {"exact": -1e-12}}),
+        ("check", {"n_max": 2, "tolerance_profile": {"exact": float("inf")}}),
+        ("check", {"n_max": 2, "tolerance_profile": {"exact": float("nan")}}),
         ("check", {"n_max": 2, "tolerance_profile": {"accumulated": float("inf")}}),
         ("check", {"n_max": 2, "tolerance_profile": {"accumulated": float("nan")}}),
         ("check", {"n_max": 2, "tolerance_profile": {"accumulated": 1e-10}}),

@@ -148,6 +148,14 @@ class TestFullLoweringChain:
         assert maxabs(build_a_m(window).to_dense() - factored) < 1e-15
 
 
+def test_lowering_coefficient_is_elementwise_and_exact():
+    labels = np.arange(-3000, 3001)
+    expected = [math.sqrt(abs(n)) if n else 1.0 for n in labels.tolist()]
+    assert lowering_coefficient(labels).tolist() == expected
+    scalars = [lowering_coefficient(n) for n in labels.tolist()]
+    assert scalars == expected and all(isinstance(c, float) for c in scalars)
+
+
 class TestNumberKinds:
     def test_diagonals(self):
         w = W

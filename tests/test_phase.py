@@ -342,6 +342,16 @@ def test_eigenphase_stays_below_two_pi():
     assert _eigenphase(value, Window.symmetric(0, Boundary.CYCLIC)) == 0.0
 
 
+@pytest.mark.parametrize("wrap", [0.0, -1e-17, 2 * math.pi, 0.7])
+def test_eigenphase_of_an_array_is_the_eigenphase_of_each_value(wrap):
+    w = Window.symmetric(3, Boundary.CYCLIC, wrap)
+    values = [1.0, -1.0, 1j, -1j, complex(math.cos(-5e-18), math.sin(-5e-18)),
+              cmath.exp(-1e-10j), cmath.exp(1e-10j), cmath.exp(2.5j), cmath.exp(-2.5j)]
+    got = _eigenphase(np.array(values), w)
+    assert got.tolist() == [_eigenphase(value, w) for value in values]
+    assert np.all((got >= 0.0) & (got < 2 * math.pi))
+
+
 def test_circular_stats_point_mass():
     mean, variance = circular_stats(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
     assert mean == pytest.approx(1.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from phaselab import verify
+from phaselab import phase, verify
+from phaselab.cli import main
 from phaselab.fockspace import Boundary, Window
 from phaselab.operators import (
     NumberKind,
@@ -86,6 +87,28 @@ def test_a_perturbed_operator_fails_exactly_its_owning_checks(
     monkeypatch.setattr(verify, builder, _perturbed(getattr(verify, builder), row, col))
     reports = run_checks(Window.symmetric(4, boundary))
     assert {r.check_id for r in reports if not r.passed} == owners
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CYCLIC])
+@pytest.mark.parametrize("d", [8, 512])
+def test_the_checks_read_the_eigenvalues_spectrum_prints(monkeypatch, capsys, d, boundary):
+    # e^{i phi_k} rotated by 1e-9 rad wherever the program reads it: the
+    # checks that compare against it fail, and spectrum prints the change
+    def spectrum():
+        assert main(["spectrum", "--n-max", "3", "--format", "csv"]) == 0
+        return capsys.readouterr().out
+
+    exact = spectrum()
+    unit_phasors = phase._unit_phasors
+
+    def rotated(grid):
+        return unit_phasors(grid) * cmath.exp(1e-9j)
+
+    monkeypatch.setattr(phase, "_unit_phasors", rotated)
+    monkeypatch.setattr(verify, "_unit_phasors", rotated)
+    reports = run_checks(Window.symmetric(d // 2 - 1, boundary))
+    assert {r.check_id for r in reports if not r.passed} == {"C08", "C09"}
+    assert spectrum() != exact
 
 
 # 15 windows from the two vacua to D = 256, symmetric and not
