@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fockspace import Boundary, SingleModeWindow, StateVector, Window, _frozen, photon_count
+from .fockspace import Boundary, SingleModeWindow, StateVector, Window, _frozen
 from .formats import window_to_json_dict
 
 
@@ -95,6 +95,18 @@ class OperatorMatrix:
             terms.append((p, _frozen(w, "weights", complex, (d,))))
         object.__setattr__(self, "terms", tuple(terms))
 
+    @classmethod
+    def _from_terms(cls, window, terms, label: str) -> OperatorMatrix:
+        """The operator of terms that are permutations with complex weights
+        by construction, as the arithmetic below forms them: their arrays
+        are frozen in place, not copied or checked again."""
+        for p, w in terms:
+            p.setflags(write=False)
+            w.setflags(write=False)
+        op = object.__new__(cls)
+        op.__dict__.update(window=window, terms=tuple(terms), label=label)
+        return op
+
     def coalesced(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the entries the terms reach, sorted by
         (row, col), with the weights at one position added in term order.
@@ -131,7 +143,7 @@ class OperatorMatrix:
             inverse = np.empty_like(p)
             inverse[p] = np.arange(len(p))
             terms.append((inverse, w[inverse].conj()))
-        return OperatorMatrix(self.window, terms, f"adjoint({self.label})")
+        return OperatorMatrix._from_terms(self.window, terms, f"adjoint({self.label})")
 
     def apply(self, state: StateVector) -> StateVector:
         """The matrix-vector product, O(D) per term."""
@@ -146,27 +158,27 @@ class OperatorMatrix:
 
     def __matmul__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "product")
-        return OperatorMatrix(self.window, _product_terms(self, other),
-                              f"({self.label} {other.label})")
+        return OperatorMatrix._from_terms(self.window, _product_terms(self, other),
+                                          f"({self.label} {other.label})")
 
     def __add__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "sum")
-        return OperatorMatrix(self.window, self.terms + other.terms,
-                              f"({self.label} + {other.label})")
+        return OperatorMatrix._from_terms(self.window, self.terms + other.terms,
+                                          f"({self.label} + {other.label})")
 
     def __sub__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "difference")
-        return OperatorMatrix(self.window, self.terms + _negated(other.terms),
-                              f"({self.label} - {other.label})")
+        return OperatorMatrix._from_terms(self.window, self.terms + _negated(other.terms),
+                                          f"({self.label} - {other.label})")
 
     def __mul__(self, scalar) -> OperatorMatrix:
         terms = tuple((p, w * complex(scalar)) for p, w in self.terms)
-        return OperatorMatrix(self.window, terms, f"({scalar} {self.label})")
+        return OperatorMatrix._from_terms(self.window, terms, f"({scalar} {self.label})")
 
     __rmul__ = __mul__
 
     def __neg__(self) -> OperatorMatrix:
-        return OperatorMatrix(self.window, _negated(self.terms), f"(-{self.label})")
+        return OperatorMatrix._from_terms(self.window, _negated(self.terms), f"(-{self.label})")
 
 
 def _product_terms(a: OperatorMatrix, b: OperatorMatrix) -> tuple:
@@ -192,7 +204,7 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA."""
     _require_same_window(a.window, b.window, "commutator")
     terms = _product_terms(a, b) + _negated(_product_terms(b, a))
-    return OperatorMatrix(a.window, terms, f"[{a.label},{b.label}]")
+    return OperatorMatrix._from_terms(a.window, terms, f"[{a.label},{b.label}]")
 
 
 def _weighted_shift(window, label: str, coefficients, lowering: bool = True,
@@ -290,13 +302,11 @@ def build_a_m(window: Window) -> OperatorMatrix:
 
 def build_number(window: Window, kind: NumberKind | str = NumberKind.LABEL) -> OperatorMatrix:
     kind = NumberKind(kind)
-    if kind is NumberKind.LABEL:
-        diag = [float(n) for n in window.indices()]
-    elif kind is NumberKind.PHOTON:
-        diag = [float(photon_count(n)) for n in window.indices()]
-    else:
-        diag = [float(n) if n >= 0 else float(abs(n + 1) - 1) for n in window.indices()]
-    return _diagonal(window, diag, f"number_{kind.value}")
+    n = window.indices()
+    # the kinds differ below the seam only, where photon_count(n) = -(n + 1)
+    lower = {NumberKind.LABEL: n, NumberKind.PHOTON: -(n + 1),
+             NumberKind.LITERAL: np.abs(n + 1) - 1}
+    return _diagonal(window, np.where(n >= 0, n, lower[kind]), f"number_{kind.value}")
 
 
 def build_susskind_glogower(window: Window) -> OperatorMatrix:

@@ -11,6 +11,7 @@ non-orthogonal interpolating states used by higher-resolution scans.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -57,6 +58,18 @@ class PhaseGrid:
         if _TWO_PI / d < 10.0 ** (math.floor(math.log10(largest)) - 11):
             raise ValueError(f"phi0 {self.phi0:g} is too large for {d} grid points "
                              f"distinct at 12 significant digits")
+
+    @functools.cached_property
+    def _labels_and_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The labels n + 1/2 and the k-factors / sqrt(D) of _phase_fft, with
+        l_0 k reduced modulo D exactly so the angle stays below 2 pi; formed
+        once per grid, read-only, for every transform on it."""
+        labels = self.window.indices() + 0.5
+        d = len(labels)
+        factors = np.exp(-1j * _TWO_PI * ((labels[0] * np.arange(d)) % d) / d) / math.sqrt(d)
+        labels.setflags(write=False)
+        factors.setflags(write=False)
+        return labels, factors
 
 
 def phase_grid(window: Window, phi0: float = 0.0) -> PhaseGrid:
@@ -105,18 +118,10 @@ def _phase_fft(amplitudes: np.ndarray, labels: np.ndarray, phi0: float) -> np.nd
     return np.fft.fft(weighted, out=weighted)
 
 
-def _labels_and_factors(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The labels n + 1/2 and the k-factors / sqrt(D) of _phase_fft, with
-    l_0 k reduced modulo D exactly so the angle stays below 2 pi."""
-    labels = grid.window.indices() + 0.5
-    d = len(labels)
-    return labels, np.exp(-1j * _TWO_PI * ((labels[0] * np.arange(d)) % d) / d) / math.sqrt(d)
-
-
 def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """B: the overlaps <phi_k|psi> with the grid's phase states, of a
     vector or of each row of a matrix."""
-    labels, factors = _labels_and_factors(grid)
+    labels, factors = grid._labels_and_factors
     overlaps = _phase_fft(amplitudes, labels, grid.phi0)
     overlaps *= factors
     return overlaps
@@ -125,7 +130,7 @@ def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid) -> np.ndarray:
 def _from_phase_basis(overlaps: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """K = B^dagger: sum_k x_k |phi_k> in the label basis, of a vector or
     of each row of a matrix."""
-    labels, factors = _labels_and_factors(grid)
+    labels, factors = grid._labels_and_factors
     spread = overlaps * factors.conj()
     np.fft.ifft(spread, out=spread)
     spread *= len(labels)

@@ -243,36 +243,47 @@ def _check_c08(window, tol):
     grid = eigenphase_grid(window) if cyclic else phase_grid(window)
     # B K = I, K B = I and <x, K x> = <B x, x> on a fixed unit-norm chirp
     # that is flat in both bases: these test that the transform pair is
-    # mutually inverse and adjoint
+    # mutually inverse and adjoint. K also sends e_0 and e_{D-1} to the
+    # closed-form states e^{i l phi_k} / sqrt(D), l = n + 1/2 (2 l k reduced
+    # modulo 2D exactly), which ties the pair to the phase states
     k = np.arange(d)
-    x = np.exp(1j * math.pi * ((k * (k - 1 + d % 2)) % (2 * d)) / d) / math.sqrt(d)
-    kx, bx = _from_phase_basis(x, grid), _to_phase_basis(x, grid)
-    dev = max(_maxabs(_to_phase_basis(kx, grid) - x), _maxabs(_from_phase_basis(bx, grid) - x),
-              abs(np.vdot(x, kx) - np.vdot(bx, x)))
-    # the whole eigenvalue equation E K - K Lambda, held transposed: row l
-    # of K^T is |phi_l>, and a term (p, w) of E gives (E K)^T[l, i] =
-    # w[i] K^T[l, p[i]]. The first gather reuses the identity's buffer (a
-    # third D x D block per call fragments the heap); mode "clip" gathers
-    # unbuffered, and p is a permutation
-    residual_t = np.eye(d, dtype=complex)
-    kt = _from_phase_basis(residual_t, grid)
-    (p, w), *rest = build_susskind_glogower(window).terms
-    np.take(kt, p, axis=1, out=residual_t, mode="clip")
-    residual_t *= w
-    for p, w in rest:
-        residual_t += np.take(kt, p, axis=1) * w
-    kt *= _unit_phasors(grid)[:, np.newaxis]
-    residual_t -= kt
-    del kt
-    if cyclic:
-        scope = "with the full eigenvalue equation on the wrap-aligned grid"
-    else:
-        residual_t[:, window.position(window.hi)] = 0.0
-        scope = (
-            "with the eigenvalue equation on every component but the top "
-            "edge row (open mode drops the inflow that would fill it)"
-        )
-    dev = max(dev, _maxabs(residual_t))
+    probes = np.zeros((3, d), dtype=complex)
+    probes[0] = x = np.exp(1j * math.pi * ((k * (k - 1 + d % 2)) % (2 * d)) / d) / math.sqrt(d)
+    probes[1, 0] = probes[2, -1] = 1.0
+    kets = _from_phase_basis(probes, grid)
+    bx, bkx = _to_phase_basis(np.stack([x, kets[0]]), grid)
+    twice = 2 * window.indices() + 1
+    angles = twice * grid.phi0 / 2.0 + math.pi * (np.outer([0, d - 1], twice) % (2 * d)) / d
+    dev = max(_maxabs(bkx - x), _maxabs(_from_phase_basis(bx, grid) - x),
+              abs(np.vdot(x, kets[0]) - np.vdot(bx, x)),
+              _maxabs(kets[1:] - np.exp(1j * angles) / math.sqrt(d)))
+    # the whole eigenvalue equation E K - K Lambda, row by row: a weight c
+    # at (i, p) of E gives (E K)[i, k] = K[i, k] c e^{i r phi0} w^{r k}
+    # with r = p - i and w = e^{2 pi i/D}, so row i is K[i, k] (P_i(k) -
+    # lambda_k), |K[i, k]| = 1/sqrt(D) and P_i a polynomial in w^k
+    rows, cols, values = build_susskind_glogower(window).coalesced()
+    twisted, exponents = values * np.exp(1j * (cols - rows) * grid.phi0), (cols - rows) % d
+    checked = np.ones(d, dtype=bool)
+    scope = "with the full eigenvalue equation on the wrap-aligned grid"
+    if not cyclic:
+        checked[window.position(window.hi)] = False
+        scope = ("with the eigenvalue equation on every component but the top "
+                 "edge row (open mode drops the inflow that would fill it)")
+    # a row with one entry is c w^{r k}, evaluated once per distinct (r, c)
+    # (a built E has one or two); a row with several entries, or none, is
+    # one length-D FFT
+    counts = np.bincount(rows, minlength=d)
+    lone, crowded = checked[rows] & (counts[rows] == 1), checked[rows] & (counts[rows] != 1)
+    distinct, which = np.unique(twisted[lone], return_inverse=True)
+    # unique_inverse, as plain np.unique imports numpy.ma on its first call
+    groups = np.unique_inverse(which * d + exponents[lone]).values
+    crowded_rows = np.flatnonzero(checked & (counts != 1))
+    spectra = np.zeros((len(crowded_rows), d), dtype=complex)
+    spectra[np.searchsorted(crowded_rows, rows[crowded]), exponents[crowded]] = twisted[crowded]
+    powers = np.exp(2j * math.pi * k / d)[np.outer(groups % d, k) % d]
+    polynomials = np.vstack([distinct[groups // d, np.newaxis] * powers,
+                             np.fft.ifft(spectra, norm="forward")])
+    dev = max(dev, _maxabs(polynomials - _unit_phasors(grid)) / math.sqrt(d))
     return _report(
         "C08", window, dev, tol.exact,
         f"the uniform phase grid states are orthonormal and complete, {scope}",

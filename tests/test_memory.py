@@ -1,5 +1,6 @@
-"""Memory guards: every builder, its dump and the C11 check stay within a
-budget linear in D, far below one D x D complex matrix (16 D^2 bytes)."""
+"""Memory guards: every builder, its dump and the C08 and C11 checks stay
+within a budget linear in D, far below one D x D complex matrix (16 D^2
+bytes)."""
 
 import tracemalloc
 
@@ -35,6 +36,15 @@ def test_c11_at_d_65536_stays_linear_in_d():
     window = Window.symmetric(32767, Boundary.CYCLIC)
     reports = []
     peak = traced_peak(lambda: reports.append(verify._check_c11(window, verify.ToleranceProfile())))
+    assert peak < BUDGET_COLUMNS * 16 * window.dimension
+    assert reports[0].passed
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_c08_at_d_65536_stays_linear_in_d(boundary):
+    window = Window.symmetric(32767, boundary, 1.25)
+    reports = []
+    peak = traced_peak(lambda: reports.append(verify._check_c08(window, verify.ToleranceProfile())))
     assert peak < BUDGET_COLUMNS * 16 * window.dimension
     assert reports[0].passed
 

@@ -387,3 +387,12 @@ def test_terms_must_be_permutations():
         OperatorMatrix(W, [(np.arange(W.dimension) - 1, np.ones(W.dimension))], "bad")
     with pytest.raises(ValueError):
         OperatorMatrix(W, [(np.arange(W.dimension) + 0.0, np.ones(W.dimension))], "bad")
+
+
+def test_arithmetic_results_are_read_only():
+    # products, adjoints and sums skip the public constructor's copy and
+    # checks, but their arrays are frozen all the same
+    e, n = build_susskind_glogower(WC), build_number(WC)
+    for op in (e.adjoint(), e @ n, e + n, e - n, 2 * e, -e, commutator(e, n)):
+        for p, w in op.terms:
+            assert not p.flags.writeable and not w.flags.writeable

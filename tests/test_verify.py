@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -141,6 +142,39 @@ def test_c08_verdicts_match_the_dense_products(monkeypatch, lo, hi, boundary, wr
         assert report.passed == (dense <= tol.exact) == passes
         if not passes:
             assert report.max_deviation == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CYCLIC])
+@pytest.mark.parametrize("row", [-150, 100])
+def test_c08_sees_one_interior_entry_of_e_moved(monkeypatch, boundary, row):
+    # far from the seam and both edges, in a one-term E whose rows C08
+    # groups by their weight: a grouping that reads only the first or the
+    # last row of a group would pass it
+    build = _perturbed(verify.build_susskind_glogower, row, row + 1)
+    monkeypatch.setattr(verify, "build_susskind_glogower", build)
+    window = Window.symmetric(255, boundary, 1.25)
+    assert len(build(window).terms) == 1
+    report = verify._check_c08(window, ToleranceProfile())
+    assert not report.passed
+    assert report.max_deviation == pytest.approx(1e-9 / math.sqrt(window.dimension), rel=1e-3)
+
+
+def test_c08_ties_the_transform_pair_to_the_closed_form_states(monkeypatch):
+    # the pair with the sign of phi0 flipped in both factors is still
+    # mutually inverse and adjoint, so the chirp checks cannot see it; only
+    # comparing K e_0 and K e_{D-1} with the closed-form states can
+    def flipped(transform):
+        return lambda x, grid: transform(x, phase.PhaseGrid(grid.window, -grid.phi0))
+
+    to_phase, from_phase = flipped(phase._to_phase_basis), flipped(phase._from_phase_basis)
+    window = Window.symmetric(255, Boundary.CYCLIC, 1.25)
+    grid = phase.eigenphase_grid(window)
+    x = np.random.default_rng(0).standard_normal(window.dimension) + 0j
+    np.testing.assert_allclose(to_phase(from_phase(x, grid), grid), x, atol=1e-13)
+    assert verify._check_c08(window, ToleranceProfile()).passed
+    monkeypatch.setattr(verify, "_to_phase_basis", to_phase)
+    monkeypatch.setattr(verify, "_from_phase_basis", from_phase)
+    assert not verify._check_c08(window, ToleranceProfile()).passed
 
 
 class TestNumberKindAdjudication:
