@@ -60,16 +60,18 @@ class PhaseGrid:
                              f"distinct at 12 significant digits")
 
     @functools.cached_property
-    def _labels_and_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The labels n + 1/2 and the k-factors / sqrt(D) of _phase_fft, with
-        l_0 k reduced modulo D exactly so the angle stays below 2 pi; formed
-        once per grid, read-only, for every transform on it."""
+    def _labels_and_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The label factors e^{-i l phi0} and e^{+i l phi0} over the labels
+        l = n + 1/2, and the k-factors / sqrt(D) of _phase_fft, with l_0 k
+        reduced modulo D exactly so the angle stays below 2 pi; formed once
+        per grid, read-only, for every transform on it."""
         labels = self.window.indices() + 0.5
         d = len(labels)
-        factors = np.exp(-1j * _TWO_PI * ((labels[0] * np.arange(d)) % d) / d) / math.sqrt(d)
-        labels.setflags(write=False)
-        factors.setflags(write=False)
-        return labels, factors
+        factors = (np.exp(-1j * labels * self.phi0), np.exp(1j * labels * self.phi0),
+                   np.exp(-1j * _TWO_PI * ((labels[0] * np.arange(d)) % d) / d) / math.sqrt(d))
+        for factor in factors:
+            factor.setflags(write=False)
+        return factors
 
 
 def phase_grid(window: Window, phi0: float = 0.0) -> PhaseGrid:
@@ -109,20 +111,21 @@ def phase_state(window: Window, phi: float) -> StateVector:
     return StateVector(window, amplitudes)
 
 
-def _phase_fft(amplitudes: np.ndarray, labels: np.ndarray, phi0: float) -> np.ndarray:
+def _phase_fft(amplitudes: np.ndarray, down: np.ndarray) -> np.ndarray:
     """sum_j c_j e^{-i l_j phi0} e^{-2 pi i jk/D} over labels l_j = l_0 + j,
-    along the last axis (a vector, or one row per vector): the overlaps
-    with the grid phi0 + 2 pi k / D, up to the unimodular k-factor
-    e^{-2 pi i l_0 k/D} and 1/sqrt(D)."""
-    weighted = amplitudes * np.exp(-1j * labels * phi0)
+    along the last axis (a vector, or one row per vector), given the label
+    factors down = e^{-i l phi0}: the overlaps with the grid
+    phi0 + 2 pi k / D, up to the unimodular k-factor e^{-2 pi i l_0 k/D}
+    and 1/sqrt(D)."""
+    weighted = amplitudes * down
     return np.fft.fft(weighted, out=weighted)
 
 
 def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """B: the overlaps <phi_k|psi> with the grid's phase states, of a
     vector or of each row of a matrix."""
-    labels, factors = grid._labels_and_factors
-    overlaps = _phase_fft(amplitudes, labels, grid.phi0)
+    down, _up, factors = grid._labels_and_factors
+    overlaps = _phase_fft(amplitudes, down)
     overlaps *= factors
     return overlaps
 
@@ -130,11 +133,11 @@ def _to_phase_basis(amplitudes: np.ndarray, grid: PhaseGrid) -> np.ndarray:
 def _from_phase_basis(overlaps: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """K = B^dagger: sum_k x_k |phi_k> in the label basis, of a vector or
     of each row of a matrix."""
-    labels, factors = grid._labels_and_factors
+    _down, up, factors = grid._labels_and_factors
     spread = overlaps * factors.conj()
     np.fft.ifft(spread, out=spread)
-    spread *= len(labels)
-    spread *= np.exp(1j * labels * grid.phi0)
+    spread *= len(up)
+    spread *= up
     return spread
 
 
@@ -150,11 +153,13 @@ def circular_stats(points: np.ndarray, probabilities: np.ndarray) -> tuple[float
 def _born_distribution(amplitudes: np.ndarray, labels: np.ndarray, grid: PhaseGrid) -> PhaseDistribution:
     """Born rule p_k = |<phi_k|psi>|^2 of unit-norm amplitudes over the
     given consecutive basis labels, one FFT, with the circular statistics
-    of the result."""
+    of the result. A distribution is one transform on its grid, so its
+    label factors are formed here rather than cached on the grid."""
     norm = float(np.linalg.norm(amplitudes))
     if not abs(norm - 1.0) <= PROBABILITY_TOL:
         raise ValueError(f"state norm {norm:.12g} is not 1 within {PROBABILITY_TOL:g}")
-    probabilities = np.abs(_phase_fft(amplitudes, labels, grid.phi0)) ** 2 / len(labels)
+    overlaps = _phase_fft(amplitudes, np.exp(-1j * labels * grid.phi0))
+    probabilities = np.abs(overlaps) ** 2 / len(labels)
     mean, variance = circular_stats(grid.points, probabilities)
     return PhaseDistribution(grid, probabilities, mean, variance)
 

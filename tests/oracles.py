@@ -9,6 +9,9 @@ which sorts and wraps its output as the package does, do.
 """
 
 import cmath
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -238,3 +241,31 @@ def from_dense(window, m, label):
         if np.any(m[rows, cols] != 0):
             terms.append((cols, m[rows, cols]))
     return OperatorMatrix(window, terms, label)
+
+
+def _rounded(value):
+    """Copy of a JSON payload with every float rounded to 12 significant
+    digits through decimal text."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
+
+
+def reference_json_text(payload):
+    """The JSON writer by definition: json.dumps(indent=2) over a rounded
+    copy of the payload, plus one newline."""
+    return json.dumps(_rounded(payload), indent=2) + "\n"
+
+
+def reference_csv_text(header, rows):
+    """The CSV writer by definition: csv.writer over every row, floats
+    formatted at 12 significant digits and other values left to csv."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()

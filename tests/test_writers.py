@@ -1,0 +1,106 @@
+"""The writers in formats against their definitions in oracles: the same
+bytes on any payload, and the same stdout from every subcommand."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from phaselab import cli, formats
+from phaselab.operators import OPERATOR_BUILDERS
+from test_formats import EDGE_FLOATS
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+floats = st.floats() | st.sampled_from(EDGE_FLOATS + NON_FINITE + [100.0, 1e15, -2.5e-310])
+texts = st.text(max_size=8) | st.sampled_from(['say "hi"', "back\\slash", "φ₀ ≈ 0.7", "a, b", "\n"])
+scalars = (floats | floats.map(np.float64) | st.integers() | st.booleans() | st.none() | texts)
+
+
+def _equal_width_rows(values):
+    """Lists and tuples of one common width, the dump's entries shape."""
+    return st.integers(0, 4).flatmap(lambda width: st.lists(
+        st.lists(values, min_size=width, max_size=width)
+        | st.tuples(*[values] * width), max_size=6))
+
+
+payloads = st.recursive(
+    scalars | st.lists(scalars) | _equal_width_rows(scalars),
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.lists(st.lists(children, max_size=3), max_size=3)
+                      | st.dictionaries(texts | st.integers() | floats | st.booleans() | st.none(),
+                                        children, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+@example([])
+@example({})
+@example({"entries": [[], []], "empty": {}, "rows": [[1, 2.0], [3, 4.5, 6]]})
+@example({"entries": [[-1, 0, 1.0, 0.0], [0, -1, -0.0, 2.5], [1, 1, 5e-324, 1e12 + 5]]})
+@example([[np.float64(0.1), 1.0], [2.0, np.float64(-0.0)]])
+@example(EDGE_FLOATS + NON_FINITE)
+@example([EDGE_FLOATS, NON_FINITE + [0.0, 1.0, 2.0, 3.0, 4.0]])
+@example((1, "two", (3.0, None, True), {"k": [False]}))
+def test_json_text_matches_the_reference_writer(payload):
+    assert formats.json_text(payload) == oracles.reference_json_text(payload)
+
+
+@given(st.lists(st.lists(scalars, max_size=4) | st.tuples(floats, st.integers()), max_size=8))
+@example([[i, x] for i, x in enumerate(EDGE_FLOATS + NON_FINITE)])
+@example([(1.0, 2), (np.float64(3.5), 4)])
+@example([[1, 2.5], [True, 0.5]])
+@example([[], []])
+@example([[1.0, "a, b"], [2.0, 'say "hi"']])
+def test_csv_text_matches_the_reference_writer(rows):
+    header = ["x", "y"]
+    assert formats.csv_text(header, iter(rows)) == oracles.reference_csv_text(header, rows)
+
+
+@pytest.mark.parametrize("value", [object(), np.int64(3), {1, 2}, b"bytes"])
+def test_both_json_writers_refuse_what_json_refuses(value):
+    for writer in (formats.json_text, oracles.reference_json_text):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            writer({"rows": [[1.0, value]], "value": value})
+
+
+def _argvs(n_max):
+    window = ["--n-max", str(n_max), "--wrap-phase", "0.7"]
+    for boundary in ("cyclic", "open"):
+        common = window + ["--boundary", boundary]
+        for fmt in ("csv", "json"):
+            yield ["check", *common, "--format", fmt]
+            yield ["spectrum", *common, "--format", fmt]
+            for state in ("coherent:upper,alpha=2+1i", "fock:0"):
+                yield ["phasedist", *common, "--state", state, "--phi0", "0.3", "--format", fmt]
+        for name in OPERATOR_BUILDERS:
+            yield ["operators", *common, "--operator", name, "--format", "json"]
+
+
+def _run(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("n_max", [0, 31, 1023])  # D = 2, 64, 2048
+def test_every_subcommand_prints_the_reference_writers_bytes(capsys, monkeypatch, n_max):
+    reference = {"json_text": oracles.reference_json_text, "csv_text": oracles.reference_csv_text}
+    # every phaselab namespace that bound a writer by name
+    bindings = [(module, name, reference[name])
+                for module_name, module in list(sys.modules.items())
+                if module_name.startswith("phaselab")
+                for name in reference
+                if getattr(module, name, None) is getattr(formats, name)]
+    for argv in _argvs(n_max):
+        ours = _run(capsys, argv)
+        with monkeypatch.context() as patched:
+            for module, name, writer in bindings:
+                patched.setattr(module, name, writer)
+            assert _run(capsys, argv) == ours, argv
