@@ -6,7 +6,6 @@ from .baselines import (
     build_pegg_barnett,
     build_sg_single,
     compare_distributions,
-    comparison_report,
     pegg_barnett_distribution,
     restrict_to_upper,
     single_mode_coherent,

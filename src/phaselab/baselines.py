@@ -15,7 +15,6 @@ import cmath
 import numpy as np
 
 from .fockspace import DEFAULT_TAIL_THRESHOLD, SingleModeWindow, Window, coherent_state
-from .formats import window_to_json_dict
 from .operators import OperatorMatrix, _quadratures, _weighted_shift
 from .phase import _TWO_PI, PhaseDistribution, PhaseGrid, _born_distribution
 
@@ -103,19 +102,3 @@ def compare_distributions(
     diff = np.abs(p.probabilities - q.probabilities)
     return float(np.max(diff)), float(np.sum(diff))
 
-
-def comparison_report(
-    baseline: str,
-    window: Window,
-    sup_diff: float,
-    l1_diff: float,
-    state_spec: str,
-) -> dict:
-    """Comparison report object for JSON output."""
-    return {
-        "baseline": baseline,
-        "window": window_to_json_dict(window),
-        "sup_diff": sup_diff,
-        "l1_diff": l1_diff,
-        "state_spec": state_spec,
-    }

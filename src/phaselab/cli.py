@@ -12,10 +12,11 @@ checks failed, 2 invalid configuration, 3 numerical failure or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -47,18 +48,6 @@ _DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    window: Window
-    output_format: str
-    output_path: str | None
-    profile: ToleranceProfile
-    state_spec: str | None = None
-    phi0: float = 0.0
-    operator_name: str | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ValueError, so that main prints it on one
     stderr line and returns 2 like any other invalid configuration."""
@@ -67,7 +56,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by every later one in the process."""
     parser = _Parser(
         prog="phaselab",
         description="Finite-window laboratory for the polarization-doubled "
@@ -107,11 +99,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _finite(value, what: str, positive: bool = False) -> float:
+    """value as a finite float, and a positive one if asked. A bool, a
+    non-number, or an int past the float range is refused with exit 2."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number) or (positive and number <= 0.0):
+        kind = "positive finite" if positive else "finite"
+        raise ValueError(f"{what} must be a {kind} number, got {value!r}")
+    return number
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> tuple[Window, dict]:
+    """The window, and every other setting checked under its config-file
+    name; tolerance_profile holds the resolved ToleranceProfile."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         try:
@@ -135,8 +140,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{key} must be an integer, got {value!r}")
     for key in ("wrap_phase", "phi0"):
-        if not _is_number(merged[key]) or not math.isfinite(merged[key]):
-            raise ValueError(f"{key} must be a finite number, got {merged[key]!r}")
+        merged[key] = _finite(merged[key], key)
     for key in ("out", "state", "operator"):
         value = merged[key]
         if value is not None and not isinstance(value, str):
@@ -145,50 +149,35 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if merged["n_max"] is not None:
         if merged["lo"] is not None or merged["hi"] is not None:
             raise ValueError("give either --n-max or --lo/--hi, not both")
-        window = Window.symmetric(merged["n_max"],
-                                  Boundary(merged["boundary"]),
-                                  float(merged["wrap_phase"]))
+        window = Window.symmetric(merged["n_max"], Boundary(merged["boundary"]),
+                                  merged["wrap_phase"])
     elif merged["lo"] is not None and merged["hi"] is not None:
-        window = Window(merged["lo"], merged["hi"],
-                        Boundary(merged["boundary"]),
-                        float(merged["wrap_phase"]))
+        window = Window(merged["lo"], merged["hi"], Boundary(merged["boundary"]),
+                        merged["wrap_phase"])
     else:
         raise ValueError("a window is required: --n-max N or both --lo and --hi")
 
-    fmt = merged["format"]
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown output format {fmt!r}")
+    if merged["format"] not in ("csv", "json"):
+        raise ValueError(f"unknown output format {merged['format']!r}")
 
     profile_value = merged["tolerance_profile"]
     if isinstance(profile_value, dict):
         unknown = set(profile_value) - {f.name for f in fields(ToleranceProfile)}
         if unknown:
             raise ValueError(f"unknown tolerance_profile keys: {sorted(unknown)}")
-        for key, value in profile_value.items():
-            if not _is_number(value) or not 0.0 < value < math.inf:
-                raise ValueError(
-                    f"tolerance_profile {key} must be a positive finite number, got {value!r}"
-                )
-        profile = ToleranceProfile(**profile_value)
+        merged["tolerance_profile"] = ToleranceProfile(**{
+            key: _finite(value, f"tolerance_profile {key}", positive=True)
+            for key, value in profile_value.items()
+        })
     else:
-        profile = ToleranceProfile.named(str(profile_value))
-
-    return RunConfig(
-        subcommand=args.subcommand,
-        window=window,
-        output_format=fmt,
-        output_path=merged["out"],
-        profile=profile,
-        state_spec=merged["state"],
-        phi0=float(merged["phi0"]),
-        operator_name=merged["operator"],
-    )
+        merged["tolerance_profile"] = ToleranceProfile.named(str(profile_value))
+    return window, merged
 
 
-def _run_check(config: RunConfig) -> tuple[str, int]:
-    reports = run_checks(config.window, config.profile)
+def _run_check(window: Window, config: dict) -> tuple[str, int]:
+    reports = run_checks(window, config["tolerance_profile"])
     failed = [r for r in reports if not r.passed]
-    if config.output_format == "json":
+    if config["format"] == "json":
         payload = json_text([report_to_json_dict(r) for r in reports])
     else:
         payload = csv_text(
@@ -204,14 +193,14 @@ def _run_check(config: RunConfig) -> tuple[str, int]:
     return payload, 1 if failed else 0
 
 
-def _run_spectrum(config: RunConfig) -> tuple[str, int]:
-    values = np.array([value for value, _vec in eigen_decompose_sg(config.window)])
+def _run_spectrum(window: Window, config: dict) -> tuple[str, int]:
+    values = np.array([value for value, _vec in eigen_decompose_sg(window)])
     header = ["k", "phase", "re", "im"]
-    rows = zip(range(len(values)), _eigenphase(values, config.window).tolist(),
+    rows = zip(range(len(values)), _eigenphase(values, window).tolist(),
                values.real.tolist(), values.imag.tolist())
-    if config.output_format == "json":
+    if config["format"] == "json":
         payload = json_text({
-            "window": window_to_json_dict(config.window),
+            "window": window_to_json_dict(window),
             "eigenvalues": [dict(zip(header, row)) for row in rows],
         })
     else:
@@ -219,32 +208,32 @@ def _run_spectrum(config: RunConfig) -> tuple[str, int]:
     return payload, 0
 
 
-def _run_phasedist(config: RunConfig) -> tuple[str, int]:
-    if not config.state_spec:
+def _run_phasedist(window: Window, config: dict) -> tuple[str, int]:
+    if not config["state"]:
         raise ValueError("phasedist requires --state")
-    state = parse_state_spec(config.state_spec, config.window)
-    grid = phase_grid(config.window, config.phi0)
-    dist = phase_distribution(state, grid)
-    if config.output_format == "json":
+    state = parse_state_spec(config["state"], window)
+    dist = phase_distribution(state, phase_grid(window, config["phi0"]))
+    if config["format"] == "json":
         payload = json_text(distribution_to_json_dict(dist))
     else:
         payload = distribution_to_csv(dist)
     return payload, 0
 
 
-def _run_operators(config: RunConfig) -> tuple[str, int]:
-    if not config.operator_name:
+def _run_operators(window: Window, config: dict) -> tuple[str, int]:
+    name = config["operator"]
+    if not name:
         raise ValueError("operators requires --operator NAME")
     try:
-        builder = OPERATOR_BUILDERS[config.operator_name]
+        builder = OPERATOR_BUILDERS[name]
     except KeyError:
         raise ValueError(
-            f"unknown operator {config.operator_name!r}; available: "
+            f"unknown operator {name!r}; available: "
             f"{', '.join(sorted(OPERATOR_BUILDERS))}"
         ) from None
-    if config.output_format != "json":
+    if config["format"] != "json":
         raise ValueError("the operator dump is JSON only; use --format json")
-    return json_text(operator_to_json_dict(builder(config.window))), 0
+    return json_text(operator_to_json_dict(builder(window))), 0
 
 
 _RUNNERS = {
@@ -257,24 +246,24 @@ _RUNNERS = {
 
 def main(argv=None) -> int:
     try:
-        config = _resolve_config(build_parser().parse_args(argv))
-        payload, exit_code = _RUNNERS[config.subcommand](config)
+        args = build_parser().parse_args(argv)
+        window, config = _resolve_config(args)
+        payload, exit_code = _RUNNERS[args.subcommand](window, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
-    if config.output_path:
+    if config["out"]:
         try:
-            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+            with open(config["out"], "w", encoding="utf-8", newline="") as fh:
                 fh.write(payload)
         except OSError as exc:
-            print(f"error: cannot write {config.output_path}: {exc.strerror}",
-                  file=sys.stderr)
+            print(f"error: cannot write {config['out']}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(payload)

@@ -24,6 +24,10 @@ NORM_TOL = 1e-12
 
 DEFAULT_TAIL_THRESHOLD = 1e-8
 
+# Widest window: past it, int64 index products such as an entry's sort key
+# row * D + col overflow without an error.
+MAX_DIMENSION = 2**31
+
 
 class Boundary(str, Enum):
     """How the shift operators close at the truncation edge.
@@ -75,9 +79,9 @@ class Window:
 
     Every window must straddle the vacuum seam (lo <= -1 and hi >= 0):
     the branch coupling lives entirely at the 0/-1 pair, and a window
-    missing it would degenerate to a single-branch theory. Storage
-    position of label n is n - lo (ascending label order). wrap_phase is
-    only consulted in cyclic mode.
+    missing it would degenerate to a single-branch theory. It holds at
+    most MAX_DIMENSION labels. Storage position of label n is n - lo
+    (ascending label order). wrap_phase is only consulted in cyclic mode.
     """
 
     lo: int
@@ -92,6 +96,8 @@ class Window:
             raise ValueError(f"window lo must be <= -1, got {self.lo}")
         if self.hi < 0:
             raise ValueError(f"window hi must be >= 0, got {self.hi}")
+        if self.dimension > MAX_DIMENSION:
+            raise ValueError(f"window [{self.lo}, {self.hi}] holds more than 2**31 labels")
 
     @classmethod
     def symmetric(cls, n_max: int, boundary=Boundary.OPEN, wrap_phase: float = 0.0) -> Window:

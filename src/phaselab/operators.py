@@ -231,17 +231,12 @@ def _quadratures(
     e: OperatorMatrix, labels: tuple[str, str]
 ) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Hermitian parts C = (E + E^dag)/2 and S = (E - E^dag)/(2i) of a
-    one-term ladder E, each weight formed as the entrywise dense formula
-    forms it. E and E^dag share no position except at D = 2, so each of
-    them meets the other's zero: 0 + 0j in E, and its conjugate 0 - 0j in
-    E^dag. Adding that zero fixes the sign of every zero real or
-    imaginary part the dump prints."""
-    (p, w), = e.terms
-    (q, v), = e.adjoint().terms
-    zero = np.zeros_like(w)
-    c = ((p, (w + zero.conj()) / 2.0), (q, (zero + v) / 2.0))
-    s = ((p, (w - zero.conj()) / 2.0j), (q, (zero - v) / 2.0j))
-    return OperatorMatrix(e.window, c, labels[0]), OperatorMatrix(e.window, s, labels[1])
+    ladder E by operator arithmetic, under the builder labels. Every
+    product by 1/2 or -i/2 is exact."""
+    e_dagger = e.adjoint()
+    c, s = (e + e_dagger) * 0.5, (e - e_dagger) * -0.5j
+    return (OperatorMatrix._from_terms(e.window, c.terms, labels[0]),
+            OperatorMatrix._from_terms(e.window, s.terms, labels[1]))
 
 
 def build_identity(window: Window) -> OperatorMatrix:

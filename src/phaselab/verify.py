@@ -275,7 +275,8 @@ def _check_c08(window, tol):
     counts = np.bincount(rows, minlength=d)
     lone, crowded = checked[rows] & (counts[rows] == 1), checked[rows] & (counts[rows] != 1)
     distinct, which = np.unique(twisted[lone], return_inverse=True)
-    # unique_inverse, as plain np.unique imports numpy.ma on its first call
+    # unique_inverse: the values-only np.unique imports numpy.ma on its first
+    # call (the call above, with return_inverse=True, does not)
     groups = np.unique_inverse(which * d + exponents[lone]).values
     crowded_rows = np.flatnonzero(checked & (counts != 1))
     spectra = np.zeros((len(crowded_rows), d), dtype=complex)

@@ -11,7 +11,6 @@ from phaselab.baselines import (
     build_pegg_barnett,
     build_sg_single,
     compare_distributions,
-    comparison_report,
     pegg_barnett_distribution,
     restrict_to_upper,
     single_mode_coherent,
@@ -186,15 +185,3 @@ class TestCompare:
         b = phase_distribution(fock_state(w, 0), phase_grid(w, 0.5))
         with pytest.raises(ValueError):
             compare_distributions(a, b)
-
-
-def test_comparison_report_shape():
-    w = Window.symmetric(3)
-    report = comparison_report("pegg_barnett", w, 1.25e-16, 3.5e-15, "coherent:upper,alpha=1+0i")
-    assert report == {
-        "baseline": "pegg_barnett",
-        "window": {"lo": -4, "hi": 3, "boundary": "open", "wrap_phase": 0.0},
-        "sup_diff": 1.25e-16,
-        "l1_diff": 3.5e-15,
-        "state_spec": "coherent:upper,alpha=1+0i",
-    }
