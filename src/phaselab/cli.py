@@ -12,7 +12,6 @@ checks failed, 2 invalid configuration, 3 numerical failure or out of memory.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -56,10 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built on the first call and shared
-    by every later one in the process."""
     parser = _Parser(
         prog="phaselab",
         description="Finite-window laboratory for the polarization-doubled "

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -7,7 +6,6 @@ import sys
 
 import pytest
 
-from phaselab import cli
 from phaselab.cli import main
 
 
@@ -173,8 +171,13 @@ class TestOperatorsCommand:
         assert "JSON" in err
 
 
+SUBCOMMANDS = ["check", "spectrum", "phasedist", "operators"]
+
+
 class TestConfigResolution:
-    @pytest.mark.parametrize("argv", [
+    # rows with a message also pin the stderr line, which must name what
+    # the user gave
+    @pytest.mark.parametrize("argv,message", [(argv, None) for argv in [
         ["check"],
         ["check", "--n-max", "-1"],
         ["check", "--n-max", "3", "--lo", "-4"],
@@ -199,12 +202,25 @@ class TestConfigResolution:
         ["phasedist", "--n-max", "3", "--state", "fock:0", "--phi0", "1e308"],
         ["phasedist", "--n-max", "3", "--state", "fock:0", "--phi0", "1e300"],
         ["phasedist", "--n-max", "3", "--state", "fock:0", "--phi0", "1e15", "--format", "csv"],
+    ]] + [
+        # past 2**31 labels int64 index products overflow silently
+        pytest.param([subcommand, *window], f"window [{lo}, {hi}] holds more than 2**31 labels",
+                     id="_".join([subcommand, *window]))
+        for subcommand in SUBCOMMANDS
+        for window, lo, hi in [
+            (["--n-max", "4611686018427387904"], -4611686018427387905, 4611686018427387904),
+            (["--n-max", "99999999999999999999"], -10**20, 10**20 - 1),
+            (["--lo", "-2147483648", "--hi", "0"], -2**31, 0),
+            (["--lo", "-1", "--hi", "2147483647"], -1, 2**31 - 1),
+        ]
     ])
-    def test_invalid_configurations_exit_two(self, capsys, argv):
+    def test_invalid_configurations_exit_two(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
+        if message is not None:
+            assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("wrap", ["1e5", "1e6", "1e12", "1e17", "1e300"])
     def test_huge_wrap_phases_pass_every_check(self, capsys, wrap):
@@ -219,7 +235,7 @@ class TestConfigResolution:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: phaselab check")
 
-    @pytest.mark.parametrize("subcommand,values", [
+    @pytest.mark.parametrize("subcommand,values,message", [(*row, None) for row in [
         ("check", {"n_max": True}),
         ("check", {"n_max": 2.7}),
         ("check", {"n_max": "3"}),
@@ -241,14 +257,37 @@ class TestConfigResolution:
         ("check", {"n_max": 2, "out": 1}),
         ("phasedist", {"n_max": 2, "state": 5}),
         ("operators", {"n_max": 2, "operator": ["a_m"]}),
+    ]] + [
+        # JSON integers past the float range
+        pytest.param(subcommand, values, message, id=f"{subcommand}-{name}")
+        for subcommand in SUBCOMMANDS
+        for name, values, message in [
+            ("wrap_phase=1e400", {"n_max": 3, "wrap_phase": 10**400},
+             f"wrap_phase must be a finite number, got {10**400}"),
+            ("wrap_phase=-1e400", {"n_max": 3, "wrap_phase": -10**400},
+             f"wrap_phase must be a finite number, got {-10**400}"),
+            ("phi0=1e400", {"n_max": 3, "phi0": 10**400},
+             f"phi0 must be a finite number, got {10**400}"),
+            ("phi0=-1e400", {"n_max": 3, "phi0": -10**400},
+             f"phi0 must be a finite number, got {-10**400}"),
+            ("exact=1e400", {"n_max": 3, "tolerance_profile": {"exact": 10**400}},
+             f"tolerance_profile exact must be a positive finite number, got {10**400}"),
+            ("n_max=1e400", {"n_max": 10**400},
+             f"window [{-10**400 - 1}, {10**400}] holds more than 2**31 labels"),
+            ("lo=-1e400", {"lo": -10**400, "hi": 0},
+             f"window [{-10**400}, 0] holds more than 2**31 labels"),
+        ]
     ])
-    def test_invalid_config_file_values_exit_two(self, capsys, tmp_path, subcommand, values):
+    def test_invalid_config_file_values_exit_two(self, capsys, tmp_path, subcommand, values,
+                                                 message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(values))
         code, out, err = run_cli(capsys, subcommand, "--config", str(config))
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
+        if message is not None:
+            assert err == f"error: {message}\n"
 
     def test_config_file_supplies_values_and_flags_override(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -273,75 +312,6 @@ class TestConfigResolution:
     def test_config_file_missing(self, capsys):
         code, _, err = run_cli(capsys, "check", "--config", "/no/such/file.json")
         assert code == 2
-
-
-# the keys each subcommand needs besides a window, so that only the value
-# under test can be at fault
-RUNNABLE = {
-    "check": {},
-    "spectrum": {},
-    "phasedist": {"state": "fock:0"},
-    "operators": {"operator": "a_m"},
-}
-
-
-class TestOutOfRange:
-    @pytest.mark.parametrize("subcommand", sorted(RUNNABLE))
-    @pytest.mark.parametrize("values,message", [
-        ({"wrap_phase": 10**400}, f"wrap_phase must be a finite number, got {10**400}"),
-        ({"wrap_phase": -10**400}, f"wrap_phase must be a finite number, got {-10**400}"),
-        ({"phi0": 10**400}, f"phi0 must be a finite number, got {10**400}"),
-        ({"phi0": -10**400}, f"phi0 must be a finite number, got {-10**400}"),
-        ({"tolerance_profile": {"exact": 10**400}},
-         f"tolerance_profile exact must be a positive finite number, got {10**400}"),
-    ])
-    def test_ints_past_the_float_range_exit_two(self, capsys, tmp_path, subcommand,
-                                                 values, message):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_max": 3, **RUNNABLE[subcommand], **values}))
-        code, out, err = run_cli(capsys, subcommand, "--config", str(config))
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-
-    @pytest.mark.parametrize("subcommand", sorted(RUNNABLE))
-    @pytest.mark.parametrize("window,lo,hi", [
-        (["--n-max", "4611686018427387904"], -4611686018427387905, 4611686018427387904),
-        (["--n-max", "99999999999999999999"], -10**20, 10**20 - 1),
-        (["--lo", "-2147483648", "--hi", "0"], -2**31, 0),
-        (["--lo", "-1", "--hi", "2147483647"], -1, 2**31 - 1),
-    ])
-    def test_windows_past_two_to_the_31_labels_exit_two(self, capsys, subcommand,
-                                                         window, lo, hi):
-        extra = [f"--{key}={value}" for key, value in RUNNABLE[subcommand].items()]
-        code, out, err = run_cli(capsys, subcommand, *window, *extra)
-        assert (code, out) == (2, "")
-        assert err == f"error: window [{lo}, {hi}] holds more than 2**31 labels\n"
-
-    @pytest.mark.parametrize("subcommand", sorted(RUNNABLE))
-    @pytest.mark.parametrize("values", [{"n_max": 10**400}, {"lo": -10**400, "hi": 0}])
-    def test_config_windows_past_the_float_range_exit_two(self, capsys, tmp_path,
-                                                          subcommand, values):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({**values, **RUNNABLE[subcommand]}))
-        code, out, err = run_cli(capsys, subcommand, "--config", str(config))
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and err.endswith("holds more than 2**31 labels\n")
-
-
-def test_two_calls_build_the_parser_once(capsys, monkeypatch):
-    added = []
-    add_argument = argparse._ActionsContainer.add_argument
-
-    def counted(self, *args, **kwargs):
-        added.append(args)
-        return add_argument(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
-    cli.build_parser.cache_clear()
-    assert main(["check", "--n-max", "1"]) == 0
-    built = len(added)
-    assert main(["operators", "--n-max", "1", "--operator", "a_v"]) == 0
-    capsys.readouterr()
-    assert built > 0 and len(added) == built
 
 
 def _floats(value):
