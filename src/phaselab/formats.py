@@ -3,6 +3,13 @@
 Payload builders hand plain, full-precision Python values to csv_text or
 json_text. Both writers render every float at 12 significant digits, so
 CSV and JSON encode identical numbers and reruns are byte-identical.
+
+A list whose items share one exact type is a column, and so is each
+column of equal-width rows that each hold one exact type. Each column is
+one slot of a template (%d for int, %.12g for float, %s for texts made
+beforehand), and a whole list or table is written by one % over it. A
+JSON float column that %.12g would not spell as json does is written by
+its distinct values, each rendered once.
 """
 
 from __future__ import annotations
@@ -11,7 +18,10 @@ import csv
 import io
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quoted
+
+import numpy as np
 
 from .fockspace import Window
 
@@ -20,9 +30,6 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {True: "true", False: "false", None: "null"}.__getitem__
 
 _SEQUENCES = {list, tuple}
-
-# CSV text of a plain int or float; any other value goes through csv.writer
-_CSV_NUMBERS = {float: "{:.12g}".format, int: int.__repr__}
 
 
 class _FloatTexts(dict):
@@ -44,24 +51,25 @@ class _FloatTexts(dict):
         return text
 
 
-def _row_texts(rows, texts) -> tuple[int, tuple[str, ...]] | None:
-    """(width, the text of every value row by row) of rows that are lists
-    or tuples of one common width, each value's text made by texts[type];
-    None for any other rows, or when a value's exact type is not in texts."""
-    widths = set(map(len, rows)) if set(map(type, rows)) <= _SEQUENCES else ()
-    if len(widths) != 1:
-        return None
-    try:
-        return widths.pop(), tuple([texts[type(v)](v) for row in rows for v in row])
-    except KeyError:
-        return None
+def _columns(items) -> list | None:
+    """The columns of a list: itself, if its items are scalars, or each
+    column of its rows, if they are lists or tuples of one common nonzero
+    width; None unless every column holds values of one exact type."""
+    if type(items[0]) in _SEQUENCES:
+        widths = set(map(len, items)) if set(map(type, items)) <= _SEQUENCES else ()
+        if len(widths) != 1 or 0 in widths:  # empty rows print as "[]"
+            return None
+        columns = list(zip(*items))
+    else:
+        columns = [items]
+    return columns if all(len(set(map(type, column))) == 1 for column in columns) else None
 
 
 class _JsonWriter:
     """The chunks of one json_text call, in the layout of
-    json.dumps(indent=2). A list of scalars, or of equal-width lists of
-    scalars, is rendered in bulk by looking each value's text up by exact
-    type; anything else recurses through dicts and lists."""
+    json.dumps(indent=2). A column, or a table of columns, of ints, floats,
+    strings, bools or None is rendered in bulk by one % over a template;
+    anything else recurses through dicts and lists."""
 
     def __init__(self):
         self.floats = _FloatTexts()
@@ -121,22 +129,41 @@ class _JsonWriter:
         self.chunks.append(newline + "]")
 
     def _bulk(self, items, newline: str, inner: str) -> str | None:
-        """Text of a list of scalars, or of a list of equal-width, nonempty
-        lists of scalars; None for any other list."""
-        if type(items[0]) in _SEQUENCES:
-            rows = _row_texts(items, self.scalars)
-            if rows is None or rows[0] == 0:  # empty rows print as "[]"
-                return None
-            width, texts = rows
-            deeper = inner + "  "
-            row = "[" + deeper + ("," + deeper).join(["%s"] * width) + inner + "]"
-            return ("[" + inner + ("," + inner).join([row] * len(items)) + newline + "]") % texts
-        scalars = self.scalars
-        try:
-            texts = [scalars[type(v)](v) for v in items]
-        except KeyError:
+        """Text of a list that is one column of scalars or a table of
+        such columns (see _columns); None for any other list."""
+        columns = _columns(items)
+        slots = columns and [self._slot(column) for column in columns]
+        if not slots or None in slots:
             return None
-        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+        row = slots[0][0]
+        if type(items[0]) in _SEQUENCES:
+            deeper = inner + "  "
+            row = "[" + deeper + ("," + deeper).join([slot for slot, _ in slots]) + inner + "]"
+        values = tuple(chain.from_iterable(zip(*[column for _, column in slots])))
+        return ("[" + inner + ("," + inner).join([row] * len(items)) + newline + "]") % values
+
+    def _slot(self, column) -> tuple[str, object] | None:
+        """(template slot, values for it) of a column of one exact type;
+        None for a type json_text writes value by value."""
+        kind = type(column[0])
+        if kind is int:
+            return "%d", column
+        if kind is float:
+            x = np.array(column)
+            ax = np.abs(x)
+            # %.12g spells x as json does unless it rounds to an integer at
+            # 12 digits ("100", "1e+12"), is subnormal ("4.94065645841e-324"
+            # reads back as 5e-324) or is not finite. This marks a superset
+            # of those, every |x| >= 1e11 included: |x - rint(x)| <= 0.5 there
+            if np.isfinite(x).all() and not (
+                    (ax < 1e-290) | (np.abs(x - np.rint(x)) <= 6e-12 * ax)).any():
+                return "%.12g", column
+            # by bit pattern, which keeps -0.0 apart from 0.0
+            bits, index = np.unique(x.view(np.int64), return_inverse=True)
+            texts = np.array([self.floats[v] for v in bits.view(np.float64).tolist()], dtype=object)
+            return "%s", texts[index].tolist()
+        render = self.scalars.get(kind)
+        return None if render is None else ("%s", list(map(render, column)))
 
 
 def json_text(payload) -> str:
@@ -152,19 +179,20 @@ def json_text(payload) -> str:
 def csv_text(header: list[str], rows) -> str:
     """The one CSV writer: a header row, then rows whose floats are
     written at 12 significant digits and whose other values by str.
-    Equal-width rows of plain ints and floats need no quoting and are
-    joined directly; rows holding anything else (a string to quote, a
-    bool) send the whole table through csv.writer."""
+    Equal-width rows whose columns each hold only ints or only floats need
+    no quoting and are written by one % over a template; rows holding
+    anything else (a string to quote, a bool) send the whole table through
+    csv.writer."""
     rows = list(rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    numbers = _row_texts(rows, _CSV_NUMBERS)
-    if numbers is None:
+    columns = _columns(rows) if rows and type(rows[0]) in _SEQUENCES else None
+    if not columns or not {type(column[0]) for column in columns} <= {int, float}:
         writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
         return buf.getvalue()
-    width, texts = numbers
-    return buf.getvalue() + (",".join(["%s"] * width) + "\n") * len(rows) % texts
+    template = ",".join(["%d" if type(column[0]) is int else "%.12g" for column in columns])
+    return buf.getvalue() + (template + "\n") * len(rows) % tuple(chain.from_iterable(rows))
 
 
 def window_to_json_dict(window: Window) -> dict:

@@ -1,14 +1,21 @@
-"""Memory guards: every builder, its dump and the C08 and C11 checks stay
-within a budget linear in D, far below one D x D complex matrix (16 D^2
-bytes)."""
+"""Memory guards: every builder, its dump as the CLI prints it, the phase
+distribution's output and the C08 and C11 checks stay within a budget
+linear in D, far below one D x D complex matrix (16 D^2 bytes)."""
 
 import tracemalloc
 
 import pytest
 
 from phaselab import verify
-from phaselab.fockspace import Boundary, Window
+from phaselab.fockspace import Boundary, Window, parse_state_spec
+from phaselab.formats import json_text
 from phaselab.operators import OPERATOR_BUILDERS, operator_to_json_dict
+from phaselab.phase import (
+    distribution_to_csv,
+    distribution_to_json_dict,
+    phase_distribution,
+    phase_grid,
+)
 
 # 64 columns' worth of complex entries
 BUDGET_COLUMNS = 64
@@ -28,8 +35,17 @@ def traced_peak(fn) -> int:
 def test_every_builder_and_its_dump_stay_linear_in_d(d, boundary):
     window = Window.symmetric(d // 2 - 1, boundary, 1.25)
     for name, builder in OPERATOR_BUILDERS.items():
-        peak = traced_peak(lambda: operator_to_json_dict(builder(window)))
+        peak = traced_peak(lambda: json_text(operator_to_json_dict(builder(window))))
         assert peak < BUDGET_COLUMNS * 16 * d, name
+
+
+@pytest.mark.parametrize("render", [distribution_to_csv,
+                                    lambda dist: json_text(distribution_to_json_dict(dist))])
+def test_the_phase_distribution_output_at_d_65536_stays_linear_in_d(render):
+    window = Window.symmetric(32767, Boundary.CYCLIC)
+    state = parse_state_spec("coherent:upper,alpha=2+1i", window)
+    peak = traced_peak(lambda: render(phase_distribution(state, phase_grid(window, 0.3))))
+    assert peak < BUDGET_COLUMNS * 16 * window.dimension
 
 
 def test_c11_at_d_65536_stays_linear_in_d():

@@ -10,6 +10,7 @@ from phaselab.cli import main
 from phaselab.fockspace import Boundary, Window
 from phaselab.operators import (
     NumberKind,
+    OperatorMatrix,
     build_number,
     build_susskind_glogower,
     commutator,
@@ -74,6 +75,21 @@ def _perturbed(builder, row, col):
     return build
 
 
+def _plus_one_entry(builder, row, col):
+    """builder, with one more term holding 1e-9 at basis labels (row, col):
+    the shift that takes the row to the column, weighted 1e-9 at the row and
+    0 elsewhere. Unlike _perturbed, this costs O(D)."""
+    def build(window):
+        op = builder(window)
+        i, j, d = window.position(row), window.position(col), window.dimension
+        weights = np.zeros(d, complex)
+        weights[i] = 1e-9
+        shift = (np.arange(d) + j - i) % d
+        return OperatorMatrix(window, [*op.terms, (shift, weights)], op.label)
+    return build
+
+
+@pytest.mark.parametrize("n_max", [4, 4095])  # D = 10 and 8192
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CYCLIC])
 @pytest.mark.parametrize("builder,row,col,owners", [
     ("build_susskind_glogower", -1, 0, {"C04", "C06", "C08"}),
@@ -82,11 +98,11 @@ def _perturbed(builder, row, col):
     ("build_polarization_swap", -1, 0, {"C12"}),
 ])
 def test_a_perturbed_operator_fails_exactly_its_owning_checks(
-    monkeypatch, boundary, builder, row, col, owners
+    monkeypatch, n_max, boundary, builder, row, col, owners
 ):
     # the suite fails closed: a 1e-9 error in one entry cannot pass unseen
-    monkeypatch.setattr(verify, builder, _perturbed(getattr(verify, builder), row, col))
-    reports = run_checks(Window.symmetric(4, boundary))
+    monkeypatch.setattr(verify, builder, _plus_one_entry(getattr(verify, builder), row, col))
+    reports = run_checks(Window.symmetric(n_max, boundary))
     assert {r.check_id for r in reports if not r.passed} == owners
 
 

@@ -52,6 +52,42 @@ def test_json_text_matches_the_reference_writer(payload):
     assert formats.json_text(payload) == oracles.reference_json_text(payload)
 
 
+# Where %.12g stops spelling a float as json does, or nearly: 12 digits
+# that round to an integer, |x| >= 1e11, tiny or subnormal, not finite
+COLUMN_EDGES = [99999999999.5, 1e11, 999999999999.5, 2.0000000000001, 0.99999999999996,
+                1e-290, 1e-300, 2.2250738585072014e-308, 5e-324, -0.0, math.nan]
+
+# mostly floats that %.12g spells as json does
+plain_floats = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-9, 9))
+column_floats = st.one_of(plain_floats, plain_floats, plain_floats,
+                          st.sampled_from(COLUMN_EDGES + NON_FINITE + [0.0, 7.0]))
+
+
+def _tables(*columns):
+    """Lists of rows, as lists or as tuples, whose columns draw from columns."""
+    return st.lists(st.tuples(*columns).map(list) | st.tuples(*columns), min_size=1, max_size=8)
+
+
+# lists whose items, or whose rows' columns, each share one exact type: the
+# phase distribution's phi and probabilities, the dump's entries, the
+# spectrum and phase distribution CSV rows
+columns = (st.lists(column_floats, min_size=1, max_size=8) | st.lists(st.integers(), min_size=1)
+           | _tables(st.integers(), st.integers(), column_floats, column_floats)
+           | _tables(column_floats, column_floats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns)
+@example([[0.25] * len(COLUMN_EDGES), COLUMN_EDGES, [-3.5] * len(COLUMN_EDGES)])
+@example([[-1, 0, 0.5, 0.0], [0, -1, 31.984371183438952, -0.0], [1, 1, 2.5, 1e-17]])
+@example([np.float64(0.25), np.float64(-3.5)])
+@example([[1.5, 2], [2.5, 3.0]])
+def test_columns_match_the_reference_writers(payload):
+    assert formats.json_text(payload) == oracles.reference_json_text(payload)
+    rows = payload if type(payload[0]) in (list, tuple) else [[v] for v in payload]
+    assert formats.csv_text(["x"], rows) == oracles.reference_csv_text(["x"], rows)
+
+
 @given(st.lists(st.lists(scalars, max_size=4) | st.tuples(floats, st.integers()), max_size=8))
 @example([[i, x] for i, x in enumerate(EDGE_FLOATS + NON_FINITE)])
 @example([(1.0, 2), (np.float64(3.5), 4)])
