@@ -41,19 +41,21 @@ def build_pegg_barnett(nw: SingleModeWindow, phi0: float = 0.0) -> OperatorMatri
 
 def restrict_to_upper(op: OperatorMatrix) -> OperatorMatrix:
     """The (n >= 0) x (n >= 0) sub-block of a doubled-space operator as a
-    single-mode matrix over 0..hi. A block row whose column falls outside
-    the block keeps a zero weight on a block column no other row of its
-    term reads, so each term stays a permutation."""
+    single-mode matrix over 0..hi. Each term gives at most two block terms:
+    its entries whose column wraps around the doubled window, and those
+    whose column does not; entries whose column falls outside the block
+    are dropped."""
     w = op.window
-    start = w.position(0)
-    terms = []
-    for p, weights in op.terms:
-        cols = p[start:] - start
-        inside = cols >= 0
-        unused = np.ones(w.hi + 1, dtype=bool)
-        unused[cols[inside]] = False
-        cols[~inside] = np.flatnonzero(unused)
-        terms.append((cols, np.where(inside, weights[start:], 0.0)))
+    start, size = w.position(0), w.hi + 1
+    rows, terms = np.arange(size), []
+    for reflect, offset, weights in op.terms:
+        for wrap in (0, w.dimension if reflect else -w.dimension):
+            # block row b reads block column k + b, or k - b when the term reflects
+            k = offset - 2 * start + wrap if reflect else offset + wrap
+            cols = k - rows if reflect else k + rows
+            inside = (cols >= 0) & (cols < size)
+            if inside.any():
+                terms.append((reflect, k, np.where(inside, weights[start:], 0.0)))
     return OperatorMatrix(SingleModeWindow(w.hi), terms, f"upper_block({op.label})")
 
 

@@ -24,8 +24,8 @@ NORM_TOL = 1e-12
 
 DEFAULT_TAIL_THRESHOLD = 1e-8
 
-# Widest window: past it, int64 index products such as an entry's sort key
-# row * D + col overflow without an error.
+# Widest window: up to it, C08's int64 products of two positions or labels,
+# such as k (k - 1) and (D - 1)(2n + 1), stay below 2**63.
 MAX_DIMENSION = 2**31
 
 

@@ -1,5 +1,5 @@
 """Builders for the doubled-space operators, and their arithmetic as
-short sums of weighted permutations.
+short sums of weighted rotations and reflections of the labels.
 
 Ladder conventions on the two branches (all against ascending label
 order n = lo..hi):
@@ -20,11 +20,10 @@ a_plus, a_minus, their adjoints, a_v, helicity, the number diagonals and
 the polarization swap are in-window matrix elements of the untruncated
 operators and ignore the boundary mode; only a_m and E close the edge.
 
-Every builder output has at most two nonzeros per column, and so has
-every product, adjoint and sum the checks form: each is held as a few
-terms (p, w), a permutation p with weights w. Products, adjoints and sums
-cost O(D) per term; only to_dense, the tests' dense reference, forms a
-D x D array.
+Every operator is held as a few terms (reflect, offset, w), each a
+rotation or a reflection of the positions with weights w. Products,
+adjoints and sums cost O(D) per term; only to_dense, the tests' dense
+reference, forms a D x D array.
 
 Builders and arithmetic are pure and OperatorMatrix is immutable, so
 parallel construction is safe and bit-identical to serial construction.
@@ -33,6 +32,7 @@ parallel construction is safe and bit-identical to serial construction.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,12 +67,15 @@ def _require_same_window(a, b, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A complex matrix over a window as a sum of weighted permutations,
-    tagged with its builder label.
+    """A complex matrix over a window as a sum of weighted rotations and
+    reflections of the positions, tagged with its builder label.
 
-    Each term (p, w) holds the entries w[i] at (i, p[i]): row i reads
-    column p[i]. Terms may share positions; their weights then add, in
-    term order. The window is a doubled-space Window or, for the
+    Each term (reflect, offset, w) holds the entries w[i] at (i, j): row i
+    reads column j = (offset + i) mod D, or (offset - i) mod D when reflect
+    is set. A shift or a diagonal is a rotation, the polarization swap
+    n -> -n - 1 a reflection; for D <= 2 the two coincide, and a reflection
+    is held as a rotation. Terms may share positions; coalesced adds their
+    weights. The window is a doubled-space Window or, for the
     single-polarization baselines, a SingleModeWindow; operands of a
     binary operation must share it.
     """
@@ -83,44 +86,35 @@ class OperatorMatrix:
 
     def __post_init__(self):
         d = self.window.dimension
-        terms = []
-        for p, w in self.terms:
-            if np.asarray(p).dtype.kind not in "iu":
-                raise ValueError("a term's permutation must hold integers")
-            p = _frozen(p, "permutation", np.intp, (d,))
-            seen = np.zeros(d, dtype=bool)
-            seen[p[(p >= 0) & (p < d)]] = True
-            if not seen.all():
-                raise ValueError(f"a term's columns are not a permutation of 0..{d - 1}")
-            terms.append((p, _frozen(w, "weights", complex, (d,))))
-        object.__setattr__(self, "terms", tuple(terms))
-
-    @classmethod
-    def _from_terms(cls, window, terms, label: str) -> OperatorMatrix:
-        """The operator of terms that are permutations with complex weights
-        by construction, as the arithmetic below forms them: their arrays
-        are frozen in place, not copied or checked again."""
-        for p, w in terms:
-            p.setflags(write=False)
-            w.setflags(write=False)
-        op = object.__new__(cls)
-        op.__dict__.update(window=window, terms=tuple(terms), label=label)
-        return op
+        object.__setattr__(self, "terms", tuple(
+            (bool(reflect) and d > 2, operator.index(offset) % d,
+             _frozen(w, "weights", complex, (d,)))
+            for reflect, offset, w in self.terms))
 
     def coalesced(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the entries the terms reach, sorted by
-        (row, col), with the weights at one position added in term order.
-        Zero values are kept."""
-        d, count = self.window.dimension, len(self.terms)
-        if not count:
-            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex)
-        keys = (np.arange(d)[:, np.newaxis] * d + np.stack([p for p, _ in self.terms], 1)).ravel()
-        values = np.stack([w for _, w in self.terms], 1).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys, values = keys[order], values[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        keys = keys[starts]
-        return keys // d, keys % d, np.add.reduceat(values, starts)
+        """(rows, cols, values) of the entries the terms reach, one per
+        position, in no set order, zeros kept. The weights of terms with one
+        (reflect, offset) add in term order by np.add.reduceat, as a sort by
+        position adds them. Where a reflection and a rotation reach the same
+        column, on at most two rows, the reflection's sum joins the rotation's."""
+        d = self.window.dimension
+        groups = {}
+        for reflect, offset, w in self.terms:
+            groups.setdefault((reflect, offset), []).append(w)
+        sums = {key: np.add.reduceat(np.stack(ws, 1).ravel(), np.arange(0, d * len(ws), len(ws)))
+                for key, ws in groups.items()}
+        rows = np.arange(d)
+        parts = [(rows[:0], rows[:0], np.zeros(0, complex))]
+        for (reflect, offset), total in sums.items():
+            cols, kept = _gather(rows, reflect, offset), slice(None)
+            if reflect:
+                # row i meets the rotation by (cols[i] - i) mod D, if there is one
+                shifts = (cols - rows) % d
+                kept = ~np.isin(shifts, [j for flip, j in sums if not flip])
+                for i in np.flatnonzero(~kept):
+                    sums[False, shifts[i]][i] += total[i]
+            parts.append((rows[kept], cols[kept], total[kept]))
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     def to_dense(self) -> np.ndarray:
         """The D x D matrix: the tests' only route to dense entries."""
@@ -138,19 +132,17 @@ class OperatorMatrix:
         return float(np.max(np.abs(values), initial=0.0))
 
     def adjoint(self) -> OperatorMatrix:
-        terms = []
-        for p, w in self.terms:
-            inverse = np.empty_like(p)
-            inverse[p] = np.arange(len(p))
-            terms.append((inverse, w[inverse].conj()))
-        return OperatorMatrix._from_terms(self.window, terms, f"adjoint({self.label})")
+        """Each term's inverse, weights conjugated: a rotation by -offset, or the same reflection."""
+        inverses = ((reflect, offset if reflect else -offset, w) for reflect, offset, w in self.terms)
+        terms = [(reflect, k, _gather(w, reflect, k).conj()) for reflect, k, w in inverses]
+        return OperatorMatrix(self.window, terms, f"adjoint({self.label})")
 
     def apply(self, state: StateVector) -> StateVector:
         """The matrix-vector product, O(D) per term."""
         _require_same_window(self.window, state.window, "apply")
         out = np.zeros(self.window.dimension, dtype=complex)
-        for p, w in self.terms:
-            out += w * state.amplitudes[p]
+        for reflect, offset, w in self.terms:
+            out += w * _gather(state.amplitudes, reflect, offset)
         return StateVector(self.window, out)
 
     def hermiticity_defect(self) -> float:
@@ -158,32 +150,41 @@ class OperatorMatrix:
 
     def __matmul__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "product")
-        return OperatorMatrix._from_terms(self.window, _product_terms(self, other),
-                                          f"({self.label} {other.label})")
+        return OperatorMatrix(self.window, _product_terms(self, other),
+                              f"({self.label} {other.label})")
 
     def __add__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "sum")
-        return OperatorMatrix._from_terms(self.window, self.terms + other.terms,
-                                          f"({self.label} + {other.label})")
+        return OperatorMatrix(self.window, self.terms + other.terms,
+                              f"({self.label} + {other.label})")
 
     def __sub__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "difference")
-        return OperatorMatrix._from_terms(self.window, self.terms + _negated(other.terms),
-                                          f"({self.label} - {other.label})")
+        return OperatorMatrix(self.window, self.terms + _negated(other.terms),
+                              f"({self.label} - {other.label})")
 
     def __mul__(self, scalar) -> OperatorMatrix:
-        terms = tuple((p, w * complex(scalar)) for p, w in self.terms)
-        return OperatorMatrix._from_terms(self.window, terms, f"({scalar} {self.label})")
+        terms = tuple((reflect, offset, w * complex(scalar)) for reflect, offset, w in self.terms)
+        return OperatorMatrix(self.window, terms, f"({scalar} {self.label})")
 
     __rmul__ = __mul__
 
     def __neg__(self) -> OperatorMatrix:
-        return OperatorMatrix._from_terms(self.window, _negated(self.terms), f"(-{self.label})")
+        return OperatorMatrix(self.window, _negated(self.terms), f"(-{self.label})")
+
+
+def _gather(values: np.ndarray, reflect: bool, offset: int) -> np.ndarray:
+    """values at the columns the rows of a term (reflect, offset) read:
+    values[(offset + i) mod D], or values[(offset - i) mod D], at row i."""
+    k = offset % len(values)
+    return np.concatenate((values[k::-1], values[:k:-1]) if reflect else (values[k:], values[:k]))
 
 
 def _product_terms(a: OperatorMatrix, b: OperatorMatrix) -> tuple:
-    """Terms of AB: row i of a term of A reads row pa[i] of a term of B."""
-    return tuple((pb[pa], _times(wa, wb[pa])) for pa, wa in a.terms for pb, wb in b.terms)
+    """Terms of AB: row i of a term of A reads row j of a term of B, which
+    then reads column kb + j, or kb - j when B's term reflects."""
+    return tuple((ra != rb, kb - ka if rb else kb + ka, _times(wa, _gather(wb, ra, ka)))
+                 for ra, ka, wa in a.terms for rb, kb, wb in b.terms)
 
 
 def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -197,14 +198,14 @@ def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _negated(terms: tuple) -> tuple:
-    return tuple((p, -w) for p, w in terms)
+    return tuple((reflect, offset, -w) for reflect, offset, w in terms)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA."""
     _require_same_window(a.window, b.window, "commutator")
     terms = _product_terms(a, b) + _negated(_product_terms(b, a))
-    return OperatorMatrix._from_terms(a.window, terms, f"[{a.label},{b.label}]")
+    return OperatorMatrix(a.window, terms, f"[{a.label},{b.label}]")
 
 
 def _weighted_shift(window, label: str, coefficients, lowering: bool = True,
@@ -214,17 +215,12 @@ def _weighted_shift(window, label: str, coefficients, lowering: bool = True,
     positions k and k+1, at (k, k+1) when lowering and at (k+1, k) when
     raising. The wrap weight closes the chain at the corner (D-1, 0) when
     lowering, or (0, D-1) when raising; it is 0 in open mode."""
-    chain = np.asarray(coefficients, dtype=complex)
-    positions = np.arange(len(chain) + 1)
-    if lowering:
-        term = np.roll(positions, -1), np.append(chain, wrap)
-    else:
-        term = np.roll(positions, 1), np.insert(chain, 0, wrap)
-    return OperatorMatrix(window, (term,), label)
+    weights = np.append(coefficients, wrap) if lowering else np.insert(coefficients, 0, wrap)
+    return OperatorMatrix(window, ((False, 1 if lowering else -1, weights),), label)
 
 
 def _diagonal(window, values, label: str = "diagonal") -> OperatorMatrix:
-    return OperatorMatrix(window, ((np.arange(window.dimension), values),), label)
+    return OperatorMatrix(window, ((False, 0, values),), label)
 
 
 def _quadratures(
@@ -235,8 +231,7 @@ def _quadratures(
     product by 1/2 or -i/2 is exact."""
     e_dagger = e.adjoint()
     c, s = (e + e_dagger) * 0.5, (e - e_dagger) * -0.5j
-    return (OperatorMatrix._from_terms(e.window, c.terms, labels[0]),
-            OperatorMatrix._from_terms(e.window, s.terms, labels[1]))
+    return OperatorMatrix(e.window, c.terms, labels[0]), OperatorMatrix(e.window, s.terms, labels[1])
 
 
 def build_identity(window: Window) -> OperatorMatrix:
@@ -326,7 +321,7 @@ def build_polarization_swap(window: Window) -> OperatorMatrix:
             f"got [{window.lo}, {window.hi}]"
         )
     # row -(n+1) reads column n: on a symmetric window, position i reads D-1-i
-    return OperatorMatrix(window, ((np.arange(window.dimension)[::-1], np.ones(window.dimension)),),
+    return OperatorMatrix(window, ((True, window.dimension - 1, np.ones(window.dimension)),),
                           "polarization_swap")
 
 
@@ -353,8 +348,9 @@ def operator_to_json_dict(op: OperatorMatrix) -> dict:
     """Dump format: nonzero entries as [row_label, col_label, re, im],
     sorted by (row, col), with rows/cols as basis labels, not positions."""
     rows, cols, values = op.coalesced()
-    nonzero = values != 0
-    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+    order = np.lexsort((cols, rows))
+    order = order[values[order] != 0]
+    rows, cols, values = rows[order], cols[order], values[order]
     entries = zip((rows + op.window.lo).tolist(), (cols + op.window.lo).tolist(),
                   values.real.tolist(), values.imag.tolist())
     return {

@@ -227,9 +227,9 @@ def single_mode_shift_entries(s, wrap=None):
 
 
 def from_dense(window, m, label):
-    """A dense D x D matrix as a phaselab OperatorMatrix: one term per
-    wrapped diagonal k that holds a nonzero, row i reading column
-    (i + k) mod D."""
+    """A dense D x D matrix as a phaselab OperatorMatrix: one rotation term
+    (False, k, weights) per wrapped diagonal k that holds a nonzero, row i
+    reading column (i + k) mod D."""
     from phaselab.operators import OperatorMatrix
 
     m = np.asarray(m)
@@ -237,10 +237,29 @@ def from_dense(window, m, label):
     rows = np.arange(d)
     terms = []
     for k in range(d):
-        cols = (rows + k) % d
-        if np.any(m[rows, cols] != 0):
-            terms.append((cols, m[rows, cols]))
+        weights = m[rows, (rows + k) % d]
+        if np.any(weights != 0):
+            terms.append((False, k, weights))
     return OperatorMatrix(window, terms, label)
+
+
+def reference_coalesced(d, terms):
+    """(rows, cols, values) of terms (reflect, offset, w) over D positions,
+    sorted by (row, col): each term's columns as an explicit index array,
+    a stable argsort over the keys row * D + col, and np.add.reduceat over
+    the runs of equal keys, so the weights at one position add in term
+    order."""
+    if not terms:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex)
+    rows = np.arange(d)
+    cols = [(offset - rows if reflect else offset + rows) % d for reflect, offset, _ in terms]
+    keys = (rows[:, np.newaxis] * d + np.stack(cols, 1)).ravel()
+    values = np.stack([w for _, _, w in terms], 1).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys = keys[starts]
+    return keys // d, keys % d, np.add.reduceat(values, starts)
 
 
 def _rounded(value):

@@ -19,7 +19,9 @@ from phaselab.fockspace import Boundary, TailWeightError, Window, coherent_state
 from phaselab.operators import (
     NumberKind,
     build_helicity,
+    build_identity,
     build_number,
+    build_polarization_swap,
     build_susskind_glogower,
 )
 from phaselab.phase import phase_distribution, phase_grid
@@ -109,6 +111,31 @@ class TestRestriction:
         w = Window(-4, 5)
         restricted = restrict_to_upper(build_number(w, NumberKind.LABEL))
         assert maxabs(restricted.to_dense() - np.diag(np.arange(6.0))) == 0.0
+
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CYCLIC])
+    @pytest.mark.parametrize("lo,hi", [(-3, 9), (-40, 13)])
+    def test_powers_of_the_ladder_match_the_dense_block(self, lo, hi, boundary):
+        # E^p and its adjoint rotate by +-p: past p = -lo the block columns
+        # of E^p's wrapped entries land inside the block
+        w = Window(lo, hi, boundary, 1.25)
+        e = build_susskind_glogower(w)
+        power = build_identity(w)
+        for _ in range(w.dimension):
+            power = power @ e
+            for op in (power, power.adjoint()):
+                dense = op.to_dense()[-lo:, -lo:]
+                assert np.array_equal(restrict_to_upper(op).to_dense(), dense), op.label
+
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CYCLIC])
+    @pytest.mark.parametrize("n_max", [0, 1, 6])
+    def test_ladder_times_swap_matches_the_dense_block(self, n_max, boundary):
+        w = Window.symmetric(n_max, boundary, 1.25)
+        e, swap = build_susskind_glogower(w), build_polarization_swap(w)
+        for op in (e @ swap, swap @ e, e.adjoint() @ swap, swap @ e @ e):
+            dense = op.to_dense()[n_max + 1:, n_max + 1:]
+            assert np.array_equal(restrict_to_upper(op).to_dense(), dense), op.label
+        # the swap itself only joins the two branches
+        assert not restrict_to_upper(swap).to_dense().any()
 
 
 class TestPeggBarnettDistribution:

@@ -78,7 +78,8 @@ class TestWindow:
             Window(-4, 3).position(5)
 
     def test_at_most_two_to_the_31_labels(self):
-        # past 2**31 labels, int64 index products such as row * D + col overflow
+        # past 2**31 labels, int64 products of two labels such as C08's
+        # (D - 1)(2n + 1) can overflow
         assert Window(-2**30, 2**30 - 1).dimension == 2**31
         for lo, hi in [(-2**30 - 1, 2**30 - 1), (-1, 2**31), (-10**400, 0)]:
             with pytest.raises(ValueError, match=r"more than 2\*\*31 labels"):

@@ -1,6 +1,6 @@
 """Memory guards: every builder, its dump as the CLI prints it, the phase
-distribution's output and the C08 and C11 checks stay within a budget
-linear in D, far below one D x D complex matrix (16 D^2 bytes)."""
+distribution's output and every check stay within a budget linear in D,
+far below one D x D complex matrix (16 D^2 bytes)."""
 
 import tracemalloc
 
@@ -46,6 +46,13 @@ def test_the_phase_distribution_output_at_d_65536_stays_linear_in_d(render):
     state = parse_state_spec("coherent:upper,alpha=2+1i", window)
     peak = traced_peak(lambda: render(phase_distribution(state, phase_grid(window, 0.3))))
     assert peak < BUDGET_COLUMNS * 16 * window.dimension
+
+
+@pytest.mark.parametrize("check", verify._REGISTRY, ids=verify.CHECK_IDS)
+def test_every_check_at_d_65536_peaks_below_512_bytes_per_label(check):
+    window = Window.symmetric(32767, Boundary.CYCLIC, 1.25)
+    peak = traced_peak(lambda: check(window, verify.ToleranceProfile()))
+    assert peak < 512 * window.dimension
 
 
 def test_c11_at_d_65536_stays_linear_in_d():

@@ -380,19 +380,56 @@ def test_quadrature_dumps_match_the_dense_quadrature_formula(window):
         assert json.dumps(operator_to_json_dict(op)) == json.dumps(dense_dump(window, op.label, m))
 
 
-def test_terms_must_be_permutations():
+@settings(max_examples=25, deadline=None)
+@given(windows)
+@example(Window(-1, 0, Boundary.CYCLIC, 1.25))  # D = 2: reflections are held as rotations
+@example(Window.symmetric(1, Boundary.CYCLIC, 1.25))  # D = 4
+def test_coalesced_adds_each_position_as_the_reference_sort_does(window):
+    d = window.dimension
+    ops = [builder(window) for name, builder in OPERATOR_BUILDERS.items()
+           if window.is_symmetric or name != "polarization_swap"]
+    pairs = [f(a, b) for a in ops for b in ops
+             for f in (OperatorMatrix.__matmul__, OperatorMatrix.__add__, commutator)]
+    # three rotations and three reflections on each offset, interleaved in
+    # term order: on odd D every reflection meets every rotation
+    rng = np.random.default_rng(d)
+    mixed = OperatorMatrix(window, [(t % 2 == 1, t // 6, rng.standard_normal(d)
+                                     + 1j * rng.standard_normal(d)) for t in range(24)], "mixed")
+
+    def sorted_and_reference(op):
+        rows, cols, values = op.coalesced()
+        order = np.lexsort((cols, rows))
+        return (rows[order], cols[order], values[order]), oracles.reference_coalesced(d, op.terms)
+
+    # bit for bit: numpy adds four or more complex weights pairwise, so a
+    # plain running sum would change printed deviations
+    for op in [*ops, *pairs]:
+        got, want = sorted_and_reference(op)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], op.label
+    # where a reflection meets a rotation, their group sums add
+    for op in [mixed, *(mixed + op for op in ops)]:
+        got, want = sorted_and_reference(op)
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+        assert_close(got[2], want[2])
+
+
+def test_terms_need_an_integer_offset_and_finite_weights_of_length_d():
+    ones = np.ones(W.dimension)
+    with pytest.raises(TypeError):
+        OperatorMatrix(W, [(False, 1.0, ones)], "bad")
     with pytest.raises(ValueError):
-        OperatorMatrix(W, [(np.zeros(W.dimension, dtype=int), np.ones(W.dimension))], "bad")
+        OperatorMatrix(W, [(False, 1, ones[1:])], "bad")
     with pytest.raises(ValueError):
-        OperatorMatrix(W, [(np.arange(W.dimension) - 1, np.ones(W.dimension))], "bad")
-    with pytest.raises(ValueError):
-        OperatorMatrix(W, [(np.arange(W.dimension) + 0.0, np.ones(W.dimension))], "bad")
+        OperatorMatrix(W, [(True, 1, np.where(ones > 0, np.nan, 0.0))], "bad")
+    # the offset is reduced mod D; for D <= 2 a reflection is a rotation
+    assert OperatorMatrix(W, [(True, -1, ones)], "ok").terms[0][:2] == (True, W.dimension - 1)
+    assert OperatorMatrix(Window(-1, 0), [(True, 3, [1, 1])], "ok").terms[0][:2] == (False, 1)
 
 
 def test_arithmetic_results_are_read_only():
-    # products, adjoints and sums skip the public constructor's copy and
-    # checks, but their arrays are frozen all the same
+    # products, adjoints and sums go through the public constructor, which
+    # freezes a copy of each term's weights
     e, n = build_susskind_glogower(WC), build_number(WC)
     for op in (e.adjoint(), e @ n, e + n, e - n, 2 * e, -e, commutator(e, n)):
-        for p, w in op.terms:
-            assert not p.flags.writeable and not w.flags.writeable
+        for reflect, offset, w in op.terms:
+            assert type(reflect) is bool and type(offset) is int and not w.flags.writeable

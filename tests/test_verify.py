@@ -77,15 +77,14 @@ def _perturbed(builder, row, col):
 
 def _plus_one_entry(builder, row, col):
     """builder, with one more term holding 1e-9 at basis labels (row, col):
-    the shift that takes the row to the column, weighted 1e-9 at the row and
-    0 elsewhere. Unlike _perturbed, this costs O(D)."""
+    the rotation that takes the row to the column, weighted 1e-9 at the row
+    and 0 elsewhere. Unlike _perturbed, this costs O(D)."""
     def build(window):
         op = builder(window)
-        i, j, d = window.position(row), window.position(col), window.dimension
-        weights = np.zeros(d, complex)
+        i, j = window.position(row), window.position(col)
+        weights = np.zeros(window.dimension, complex)
         weights[i] = 1e-9
-        shift = (np.arange(d) + j - i) % d
-        return OperatorMatrix(window, [*op.terms, (shift, weights)], op.label)
+        return OperatorMatrix(window, [*op.terms, (False, j - i, weights)], op.label)
     return build
 
 
