@@ -54,6 +54,7 @@ from .phase import (
     distribution_to_csv,
     distribution_to_json_dict,
     eigen_decompose_sg,
+    eigenvalues_sg,
     phase_distribution,
     phase_grid,
     phase_state,

@@ -17,8 +17,6 @@ import math
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .fockspace import Boundary, Window, parse_state_spec
 from .formats import csv_text, json_text, window_to_json_dict
 from .operators import OPERATOR_BUILDERS, operator_to_json_dict
@@ -26,7 +24,7 @@ from .phase import (
     _eigenphase,
     distribution_to_csv,
     distribution_to_json_dict,
-    eigen_decompose_sg,
+    eigenvalues_sg,
     phase_distribution,
     phase_grid,
 )
@@ -190,7 +188,7 @@ def _run_check(window: Window, config: dict) -> tuple[str, int]:
 
 
 def _run_spectrum(window: Window, config: dict) -> tuple[str, int]:
-    values = np.array([value for value, _vec in eigen_decompose_sg(window)])
+    values = eigenvalues_sg(window)
     header = ["k", "phase", "re", "im"]
     rows = zip(range(len(values)), _eigenphase(values, window).tolist(),
                values.real.tolist(), values.imag.tolist())

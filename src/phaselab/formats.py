@@ -5,11 +5,12 @@ json_text. Both writers render every float at 12 significant digits, so
 CSV and JSON encode identical numbers and reruns are byte-identical.
 
 A list whose items share one exact type is a column, and so is each
-column of equal-width rows that each hold one exact type. Each column is
-one slot of a template (%d for int, %.12g for float, %s for texts made
-beforehand), and a whole list or table is written by one % over it. A
-JSON float column that %.12g would not spell as json does is written by
-its distinct values, each rendered once.
+column of equal-width rows, or of dicts that share one tuple of str keys,
+that holds one exact type. Each column is one slot of a template (%d for
+int, %.12g for float, %s for texts made beforehand), and a whole list or
+table is written by one % over it. A JSON float column that %.12g would
+not spell as json does is written by its distinct values, each rendered
+once.
 """
 
 from __future__ import annotations
@@ -54,12 +55,19 @@ class _FloatTexts(dict):
 def _columns(items) -> list | None:
     """The columns of a list: itself, if its items are scalars, or each
     column of its rows, if they are lists or tuples of one common nonzero
-    width; None unless every column holds values of one exact type."""
+    width or dicts of one common nonempty tuple of str keys; None unless
+    every column holds values of one exact type."""
     if type(items[0]) in _SEQUENCES:
         widths = set(map(len, items)) if set(map(type, items)) <= _SEQUENCES else ()
         if len(widths) != 1 or 0 in widths:  # empty rows print as "[]"
             return None
         columns = list(zip(*items))
+    elif type(items[0]) is dict:
+        keys = set(map(tuple, items)) if set(map(type, items)) == {dict} else ()
+        # "{}" is no table, and json spells a key of another type itself
+        if len(keys) != 1 or set(map(type, items[0])) != {str}:
+            return None
+        columns = list(zip(*map(dict.values, items)))
     else:
         columns = [items]
     return columns if all(len(set(map(type, column))) == 1 for column in columns) else None
@@ -132,19 +140,23 @@ class _JsonWriter:
         """Text of a list that is one column of scalars or a table of
         such columns (see _columns); None for any other list."""
         columns = _columns(items)
-        slots = columns and [self._slot(column) for column in columns]
-        if not slots or None in slots:
+        # before any column is rendered: check's reports hold a window dict
+        if not columns or not all(type(column[0]) in self.scalars for column in columns):
             return None
-        row = slots[0][0]
+        slots = [self._slot(column) for column in columns]
+        row, deeper = slots[0][0], inner + "  "
         if type(items[0]) in _SEQUENCES:
-            deeper = inner + "  "
             row = "[" + deeper + ("," + deeper).join([slot for slot, _ in slots]) + inner + "]"
+        elif type(items[0]) is dict:
+            cells = [_quoted(key).replace("%", "%%") + ": " + slot
+                     for key, (slot, _) in zip(items[0], slots)]
+            row = "{" + deeper + ("," + deeper).join(cells) + inner + "}"
         values = tuple(chain.from_iterable(zip(*[column for _, column in slots])))
         return ("[" + inner + ("," + inner).join([row] * len(items)) + newline + "]") % values
 
-    def _slot(self, column) -> tuple[str, object] | None:
-        """(template slot, values for it) of a column of one exact type;
-        None for a type json_text writes value by value."""
+    def _slot(self, column) -> tuple[str, object]:
+        """(template slot, values for it) of a column of one exact type
+        that self.scalars renders."""
         kind = type(column[0])
         if kind is int:
             return "%d", column
@@ -162,8 +174,7 @@ class _JsonWriter:
             bits, index = np.unique(x.view(np.int64), return_inverse=True)
             texts = np.array([self.floats[v] for v in bits.view(np.float64).tolist()], dtype=object)
             return "%s", texts[index].tolist()
-        render = self.scalars.get(kind)
-        return None if render is None else ("%s", list(map(render, column)))
+        return "%s", list(map(self.scalars[kind], column))
 
 
 def json_text(payload) -> str:

@@ -194,24 +194,38 @@ def _unit_phasors(grid: PhaseGrid) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[quarter % 4] * np.exp(1j * residual)
 
 
-def eigen_decompose_sg(window: Window) -> list[tuple[complex, StateVector]]:
-    """Eigenpairs of the window's cyclic ladder E in closed form, sorted by
-    phase angle in [0, 2 pi): e^{i phi_k} on eigenphase_grid, with the
-    unit-norm eigenvector e^{i n phi_k} / sqrt(D), real positive at label 0.
+def _sorted_eigenphases(window: Window) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic ladder's eigenvalues e^{i phi_k} and their grid points
+    phi_k on eigenphase_grid, both sorted by phase angle in [0, 2 pi).
 
     Open-mode windows are refused: truncation leaves the ladder defective
     at the edge and the numerical output would be misleading.
     """
     if window.boundary is not Boundary.CYCLIC:
-        raise ValueError(
-            "eigendecomposition needs a cyclic-boundary ladder operator; "
-            "the open-mode operator is defective at the truncation edge"
-        )
+        raise ValueError("eigendecomposition needs a cyclic-boundary ladder operator; "
+                         "the open-mode operator is defective at the truncation edge")
     grid = eigenphase_grid(window)
     values = _unit_phasors(grid)
+    order = np.argsort(_eigenphase(values, window))
+    return values[order], grid.points[order]
+
+
+def eigenvalues_sg(window: Window) -> np.ndarray:
+    """The eigenvalues of eigen_decompose_sg, in its order, without the
+    eigenvectors: O(D) time and memory. Open-mode windows are refused."""
+    return _sorted_eigenphases(window)[0]
+
+
+def eigen_decompose_sg(window: Window) -> list[tuple[complex, StateVector]]:
+    """Eigenpairs of the window's cyclic ladder E in closed form, sorted by
+    phase angle in [0, 2 pi): e^{i phi_k} on eigenphase_grid, with the
+    unit-norm eigenvector e^{i n phi_k} / sqrt(D), real positive at label 0.
+    Open-mode windows are refused, as by eigenvalues_sg.
+    """
+    values, points = _sorted_eigenphases(window)
     labels, norm = window.indices(), math.sqrt(window.dimension)
-    return [(complex(values[j]), StateVector(window, np.exp(1j * labels * grid.points[j]) / norm))
-            for j in np.argsort(_eigenphase(values, window))]
+    return [(complex(value), StateVector(window, np.exp(1j * labels * phi) / norm))
+            for value, phi in zip(values.tolist(), points.tolist())]
 
 
 def cosine_sine_expectation(

@@ -1,12 +1,12 @@
 """Memory guards: every builder, its dump as the CLI prints it, the phase
-distribution's output and every check stay within a budget linear in D,
-far below one D x D complex matrix (16 D^2 bytes)."""
+distribution's output, the spectrum's output and every check stay within
+a budget linear in D, far below one D x D complex matrix (16 D^2 bytes)."""
 
 import tracemalloc
 
 import pytest
 
-from phaselab import verify
+from phaselab import cli, verify
 from phaselab.fockspace import Boundary, Window, parse_state_spec
 from phaselab.formats import json_text
 from phaselab.operators import OPERATOR_BUILDERS, operator_to_json_dict
@@ -46,6 +46,14 @@ def test_the_phase_distribution_output_at_d_65536_stays_linear_in_d(render):
     state = parse_state_spec("coherent:upper,alpha=2+1i", window)
     peak = traced_peak(lambda: render(phase_distribution(state, phase_grid(window, 0.3))))
     assert peak < BUDGET_COLUMNS * 16 * window.dimension
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("d", [4096, 16384])
+def test_the_spectrum_output_stays_linear_in_d(d, fmt):
+    window = Window.symmetric(d // 2 - 1, Boundary.CYCLIC, 1.25)
+    peak = traced_peak(lambda: cli._run_spectrum(window, {"format": fmt}))
+    assert peak < BUDGET_COLUMNS * 16 * d
 
 
 @pytest.mark.parametrize("check", verify._REGISTRY, ids=verify.CHECK_IDS)

@@ -37,6 +37,7 @@ from phaselab.phase import (
     distribution_to_csv,
     distribution_to_json_dict,
     eigen_decompose_sg,
+    eigenvalues_sg,
     phase_distribution,
     phase_grid,
     phase_state,
@@ -173,6 +174,23 @@ class TestEigenDecomposition:
                           key=lambda value: _eigenphase(value, w))
         values = [value for value, _ in eigen_decompose_sg(w)]
         assert max(abs(a - b) for a, b in zip(values, expected)) <= 2e-15
+
+    @pytest.mark.parametrize("wrap", [0.0, -0.0, math.pi, 2 * math.pi, -1e-17, 1e17])
+    @pytest.mark.parametrize("lo, hi", [(-1, 0), (-2, 1), (-8, 7), (-41, 40), (-3, 9), (-40, 13)])
+    def test_the_values_alone_are_the_eigenpairs_values(self, lo, hi, wrap):
+        w = Window(lo, hi, Boundary.CYCLIC, wrap)
+        values = eigenvalues_sg(w)
+        paired = np.array([value for value, _ in eigen_decompose_sg(w)])
+        assert np.array_equal(values.view(np.int64), paired.view(np.int64))  # bit for bit
+        # as sets: at wrap -1e-17 LAPACK lists the eigenvalue a hair below
+        # the positive real axis first rather than last
+        lapack = np.array([value for value, _ in oracles.dense_eigenpairs(build_susskind_glogower(w))])
+        distances = np.abs(values[:, np.newaxis] - lapack[np.newaxis, :])
+        assert max(distances.min(axis=0).max(), distances.min(axis=1).max()) <= 1e-13
+
+    def test_the_values_alone_refuse_an_open_window(self):
+        with pytest.raises(ValueError, match="cyclic-boundary"):
+            eigenvalues_sg(Window.symmetric(3))
 
     @pytest.mark.parametrize("d", [4, 1024])
     def test_quarter_turns_are_exact(self, d):

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import oracles
 from phaselab import cli, formats
+from phaselab.fockspace import Boundary, Window
 from phaselab.operators import OPERATOR_BUILDERS
+from phaselab.verify import ToleranceProfile, report_to_json_dict, run_checks
 from test_formats import EDGE_FLOATS
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -68,12 +70,30 @@ def _tables(*columns):
     return st.lists(st.tuples(*columns).map(list) | st.tuples(*columns), min_size=1, max_size=8)
 
 
+@st.composite
+def _records(draw):
+    """Lists of dicts that share one tuple of keys, each key's values drawn
+    from one kind or from all scalars, and now and then one dict with its
+    keys reversed."""
+    keys = draw(st.lists(texts | st.sampled_from(["k", "phase", "re", "im", "50%", "%s", "%%d"]),
+                         min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from([st.integers(), column_floats, texts, st.booleans(), st.none(),
+                                   scalars])) for _ in keys]
+    records = [dict(zip(keys, [draw(kind) for kind in kinds])) for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        records[-1] = dict(reversed(records[-1].items()))
+    return records
+
+
 # lists whose items, or whose rows' columns, each share one exact type: the
 # phase distribution's phi and probabilities, the dump's entries, the
-# spectrum and phase distribution CSV rows
+# spectrum and phase distribution CSV rows, the spectrum's JSON records
 columns = (st.lists(column_floats, min_size=1, max_size=8) | st.lists(st.integers(), min_size=1)
            | _tables(st.integers(), st.integers(), column_floats, column_floats)
-           | _tables(column_floats, column_floats))
+           | _tables(column_floats, column_floats) | _records())
+
+CHECK_REPORTS = [report_to_json_dict(report)
+                 for report in run_checks(Window.symmetric(3, Boundary.CYCLIC, 0.7), ToleranceProfile())]
 
 
 @settings(max_examples=300, deadline=None)
@@ -82,10 +102,24 @@ columns = (st.lists(column_floats, min_size=1, max_size=8) | st.lists(st.integer
 @example([[-1, 0, 0.5, 0.0], [0, -1, 31.984371183438952, -0.0], [1, 1, 2.5, 1e-17]])
 @example([np.float64(0.25), np.float64(-3.5)])
 @example([[1.5, 2], [2.5, 3.0]])
+@example([{"50%": 1, "%s": "%d"}, {"50%": 2, "%s": "%%"}])
+@example([{"k": 0, "re": 1.0}, {"re": 0.5, "k": 1}])
+@example([{}, {}])
+@example([{1: 2.5}, {1: 3.5}])
+@example([{"flag": True, "none": None}, {"flag": False, "none": None}])
+@example(CHECK_REPORTS)
 def test_columns_match_the_reference_writers(payload):
     assert formats.json_text(payload) == oracles.reference_json_text(payload)
     rows = payload if type(payload[0]) in (list, tuple) else [[v] for v in payload]
     assert formats.csv_text(["x"], rows) == oracles.reference_csv_text(["x"], rows)
+
+
+def test_records_that_share_one_key_tuple_are_a_table():
+    assert formats._columns([{"k": 0, "re": 1.0}, {"k": 1, "re": 0.5}]) == [(0, 1), (1.0, 0.5)]
+    # mixed key order, empty dicts, a non-str key, a column of mixed types
+    for records in ([{"k": 0, "re": 1.0}, {"re": 0.5, "k": 1}], [{}, {}], [{1: 2.5}, {1: 3.5}],
+                    [{"k": 0}, {"k": 1.0}]):
+        assert formats._columns(records) is None
 
 
 @given(st.lists(st.lists(scalars, max_size=4) | st.tuples(floats, st.integers()), max_size=8))
