@@ -15,14 +15,14 @@ import cmath
 import numpy as np
 
 from .fockspace import DEFAULT_TAIL_THRESHOLD, SingleModeWindow, Window, coherent_state
-from .operators import OperatorMatrix, _quadratures, _weighted_shift
+from .operators import OperatorMatrix, _quadratures, _unit_shift
 from .phase import _TWO_PI, PhaseDistribution, PhaseGrid, _born_distribution
 
 
 def build_sg_single(nw: SingleModeWindow) -> OperatorMatrix:
     """Unit lowering chain on 0..n_max; annihilates |0>, hence the
     classic unitarity defect E^dag E = I - |0><0|."""
-    return _weighted_shift(nw, "sg_single", [1.0] * nw.n_max)
+    return _unit_shift(nw, "sg_single")
 
 
 def build_cosine_sine_single(nw: SingleModeWindow) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -34,9 +34,7 @@ def build_pegg_barnett(nw: SingleModeWindow, phi0: float = 0.0) -> OperatorMatri
     with wrap element e^{i (s+1) phi0}, whose eigenstates are the uniform
     phase grid with offset phi0 and eigenvalues e^{i(phi0 + 2 pi k/(s+1))}.
     """
-    d = nw.dimension
-    return _weighted_shift(nw, f"pegg_barnett(phi0={phi0:g})", [1.0] * (d - 1),
-                  wrap=cmath.exp(1j * d * phi0))
+    return _unit_shift(nw, f"pegg_barnett(phi0={phi0:g})", cmath.exp(1j * nw.dimension * phi0))
 
 
 def restrict_to_upper(op: OperatorMatrix) -> OperatorMatrix:
@@ -84,7 +82,7 @@ def pegg_barnett_distribution(amplitudes: np.ndarray, grid: PhaseGrid) -> PhaseD
             f"state dimension {amps.shape} must match grid size {d} "
             "for an orthonormal phase basis"
         )
-    return _born_distribution(amps, np.arange(d), grid)
+    return _born_distribution(amps, grid)
 
 
 def compare_distributions(

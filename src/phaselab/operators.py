@@ -10,11 +10,14 @@ order n = lo..hi):
                 branch: <n-1|a-|n> = sqrt(|n|) for n <= -1. Its adjoint is
                 the photon-removing operator there and annihilates |-1>.
   a_v           couples the branches across the vacuum seam: |-1><0|.
-  a_m           the full lowering chain a_plus + a_v + a_minus; in cyclic
-                mode the wrap element <hi|a_m|lo> = sqrt(|lo|) e^{i theta}
-                keeps the factorization a_m = E diag(c) exact.
+  a_m           the full lowering chain a_plus + a_v + a_minus, built as
+                E diag(c); in cyclic mode its wrap element
+                <hi|a_m|lo> = sqrt(|lo|) e^{i theta} is E's corner times c(lo).
   susskind_glogower  the unit-coefficient lowering chain E (the
                 exponential-of-phase operator); cyclic wrap e^{i theta}.
+
+E is the one shift: every lowering ladder is E diag(m) and every raising
+one diag(m) E^dag, with m the ladder's lowering coefficients.
 
 a_plus, a_minus, their adjoints, a_v, helicity, the number diagonals and
 the polarization swap are in-window matrix elements of the untruncated
@@ -208,15 +211,23 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(a.window, terms, f"[{a.label},{b.label}]")
 
 
-def _weighted_shift(window, label: str, coefficients, lowering: bool = True,
-                    wrap: complex = 0.0) -> OperatorMatrix:
-    """The one builder of shift chains: a one-term operator over D =
-    len(coefficients) + 1 positions, with coefficients[k] joining storage
-    positions k and k+1, at (k, k+1) when lowering and at (k+1, k) when
-    raising. The wrap weight closes the chain at the corner (D-1, 0) when
-    lowering, or (0, D-1) when raising; it is 0 in open mode."""
-    weights = np.append(coefficients, wrap) if lowering else np.insert(coefficients, 0, wrap)
-    return OperatorMatrix(window, ((False, 1 if lowering else -1, weights),), label)
+def _unit_shift(window, label: str, wrap: complex = 0.0) -> OperatorMatrix:
+    """The unit lowering chain over the window: 1 at each (k, k+1), closed
+    at the corner (D-1, 0) by wrap, which is 0 in open mode."""
+    weights = np.append(np.ones(window.dimension - 1), wrap)
+    return OperatorMatrix(window, ((False, 1, weights),), label)
+
+
+def _ladder(window: Window, label: str, keep, raising: bool = False) -> OperatorMatrix:
+    """E diag(m), or diag(m) E^dag when raising, with m(n) =
+    lowering_coefficient(n) where keep(n) holds and 0 elsewhere. The
+    raising ladder is not the adjoint of the lowering one: conjugation
+    would turn each +0.0 imaginary part into -0.0."""
+    n = window.indices()
+    m = _diagonal(window, np.where(keep(n), lowering_coefficient(n), 0.0))
+    e = build_susskind_glogower(window)
+    product = m @ e.adjoint() if raising else e @ m
+    return OperatorMatrix(window, product.terms, label)
 
 
 def _diagonal(window, values, label: str = "diagonal") -> OperatorMatrix:
@@ -244,27 +255,26 @@ def build_helicity(window: Window) -> OperatorMatrix:
 
 
 def build_a_plus(window: Window) -> OperatorMatrix:
-    return _weighted_shift(window, "a_plus", _chain(window, lambda n: n >= 1))
+    return _ladder(window, "a_plus", lambda n: n >= 1)
 
 
 def build_a_plus_dagger(window: Window) -> OperatorMatrix:
-    chain = _chain(window, lambda n: n >= 1)
-    return _weighted_shift(window, "a_plus_dagger", chain, lowering=False)
+    return _ladder(window, "a_plus_dagger", lambda n: n >= 1, raising=True)
 
 
 def build_a_minus(window: Window) -> OperatorMatrix:
-    return _weighted_shift(window, "a_minus", _chain(window, lambda n: n <= -1))
+    # lo is left out, so the corner stays 0 in cyclic mode
+    return _ladder(window, "a_minus", lambda n: (n > window.lo) & (n <= -1))
 
 
 def build_a_minus_dagger(window: Window) -> OperatorMatrix:
     # annihilates |-1>: the seam step (n = 0) is not part of the lower branch
-    chain = _chain(window, lambda n: n <= -1)
-    return _weighted_shift(window, "a_minus_dagger", chain, lowering=False)
+    return _ladder(window, "a_minus_dagger", lambda n: (n > window.lo) & (n <= -1), raising=True)
 
 
 def build_a_v(window: Window) -> OperatorMatrix:
     """Vacuum coupler |-1><0|: sends the upper vacuum to the lower one."""
-    return _weighted_shift(window, "a_v", _chain(window, lambda n: n == 0))
+    return _ladder(window, "a_v", lambda n: n == 0)
 
 
 def lowering_coefficient(n):
@@ -274,20 +284,10 @@ def lowering_coefficient(n):
     return np.sqrt(np.maximum(np.abs(n), 1))
 
 
-def _chain(window: Window, keep=lambda n: True) -> np.ndarray:
-    """lowering_coefficient(n) of the steps n -> n-1, n = lo+1..hi in
-    storage order; zero where keep(n) is false."""
-    n = window.indices()[1:]
-    return np.where(keep(n), lowering_coefficient(n), 0.0)
-
-
 def build_a_m(window: Window) -> OperatorMatrix:
-    """Full lowering chain over both branches; see the module docstring
-    for the boundary closure."""
-    wrap = 0.0
-    if window.boundary is Boundary.CYCLIC:
-        wrap = lowering_coefficient(window.lo) * cmath.exp(1j * window.wrap_phase)
-    return _weighted_shift(window, "a_m", _chain(window), wrap=wrap)
+    """Full lowering chain over both branches, E diag(c): its corner is
+    E's, times c(lo)."""
+    return _ladder(window, "a_m", lambda n: True)
 
 
 def build_number(window: Window, kind: NumberKind | str = NumberKind.LABEL) -> OperatorMatrix:
@@ -301,10 +301,8 @@ def build_number(window: Window, kind: NumberKind | str = NumberKind.LABEL) -> O
 
 def build_susskind_glogower(window: Window) -> OperatorMatrix:
     """Unit-coefficient lowering chain E (exponential-of-phase operator)."""
-    wrap = 0.0
-    if window.boundary is Boundary.CYCLIC:
-        wrap = cmath.exp(1j * window.wrap_phase)
-    return _weighted_shift(window, "susskind_glogower", [1.0] * (window.dimension - 1), wrap=wrap)
+    wrap = cmath.exp(1j * window.wrap_phase) if window.boundary is Boundary.CYCLIC else 0.0
+    return _unit_shift(window, "susskind_glogower", wrap)
 
 
 def build_cosine_sine(window: Window) -> tuple[OperatorMatrix, OperatorMatrix]:

@@ -150,14 +150,17 @@ def circular_stats(points: np.ndarray, probabilities: np.ndarray) -> tuple[float
     return mean, 1.0 - length
 
 
-def _born_distribution(amplitudes: np.ndarray, labels: np.ndarray, grid: PhaseGrid) -> PhaseDistribution:
+def _born_distribution(amplitudes: np.ndarray, grid: PhaseGrid) -> PhaseDistribution:
     """Born rule p_k = |<phi_k|psi>|^2 of unit-norm amplitudes over the
-    given consecutive basis labels, one FFT, with the circular statistics
-    of the result. A distribution is one transform on its grid, so its
+    grid window's labels n + 1/2, one FFT, with the circular statistics of
+    the result. Any other run of consecutive labels, such as a single
+    mode's 0..s, shifts each overlap by a phase alone, so it gives the same
+    probabilities. A distribution is one transform on its grid, so its
     label factors are formed here rather than cached on the grid."""
     norm = float(np.linalg.norm(amplitudes))
     if not abs(norm - 1.0) <= PROBABILITY_TOL:
         raise ValueError(f"state norm {norm:.12g} is not 1 within {PROBABILITY_TOL:g}")
+    labels = grid.window.indices() + 0.5
     overlaps = _phase_fft(amplitudes, np.exp(-1j * labels * grid.phi0))
     probabilities = np.abs(overlaps) ** 2 / len(labels)
     mean, variance = circular_stats(grid.points, probabilities)
@@ -167,7 +170,7 @@ def _born_distribution(amplitudes: np.ndarray, labels: np.ndarray, grid: PhaseGr
 def phase_distribution(state: StateVector, grid: PhaseGrid) -> PhaseDistribution:
     """p_k = |<phi_k|state>|^2 over the grid's orthonormal phase states."""
     _require_same_window(state.window, grid.window, "phase distribution")
-    return _born_distribution(state.amplitudes, state.window.indices() + 0.5, grid)
+    return _born_distribution(state.amplitudes, grid)
 
 
 def _eigenphase(values, window: Window):

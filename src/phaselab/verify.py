@@ -21,7 +21,7 @@ from .formats import window_to_json_dict
 from .operators import (
     NumberKind,
     _diagonal,
-    _weighted_shift,
+    _unit_shift,
     build_a_m,
     build_a_v,
     build_cosine_sine,
@@ -136,7 +136,7 @@ def _check_c04(window, tol):
     cyclic = window.boundary is Boundary.CYCLIC
     # label n goes to n-1, the first superdiagonal, and lo to hi with the wrap phase
     wrap = np.exp(1j * window.wrap_phase) if cyclic else 0.0
-    ladder = _weighted_shift(window, "expected", [1.0] * (window.dimension - 1), wrap=wrap)
+    ladder = _unit_shift(window, "expected", wrap)
     residual = build_susskind_glogower(window) - ladder
     if cyclic:
         dev = residual.max_abs()
