@@ -22,11 +22,11 @@ from .phase import _TWO_PI, PhaseDistribution, PhaseGrid, _born_distribution
 def build_sg_single(nw: SingleModeWindow) -> OperatorMatrix:
     """Unit lowering chain on 0..n_max; annihilates |0>, hence the
     classic unitarity defect E^dag E = I - |0><0|."""
-    return _unit_shift(nw, "sg_single")
+    return _unit_shift(nw)
 
 
 def build_cosine_sine_single(nw: SingleModeWindow) -> tuple[OperatorMatrix, OperatorMatrix]:
-    return _quadratures(build_sg_single(nw), ("cosine_single", "sine_single"))
+    return _quadratures(build_sg_single(nw))
 
 
 def build_pegg_barnett(nw: SingleModeWindow, phi0: float = 0.0) -> OperatorMatrix:
@@ -34,7 +34,7 @@ def build_pegg_barnett(nw: SingleModeWindow, phi0: float = 0.0) -> OperatorMatri
     with wrap element e^{i (s+1) phi0}, whose eigenstates are the uniform
     phase grid with offset phi0 and eigenvalues e^{i(phi0 + 2 pi k/(s+1))}.
     """
-    return _unit_shift(nw, f"pegg_barnett(phi0={phi0:g})", cmath.exp(1j * nw.dimension * phi0))
+    return _unit_shift(nw, cmath.exp(1j * nw.dimension * phi0))
 
 
 def restrict_to_upper(op: OperatorMatrix) -> OperatorMatrix:
@@ -54,7 +54,7 @@ def restrict_to_upper(op: OperatorMatrix) -> OperatorMatrix:
             inside = (cols >= 0) & (cols < size)
             if inside.any():
                 terms.append((reflect, k, np.where(inside, weights[start:], 0.0)))
-    return OperatorMatrix(SingleModeWindow(w.hi), terms, f"upper_block({op.label})")
+    return OperatorMatrix(SingleModeWindow(w.hi), terms)
 
 
 def single_mode_coherent(

@@ -124,10 +124,13 @@ def _resolve_config(args: argparse.Namespace) -> tuple[Window, dict]:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_values)
-    for key in _DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    flags = {k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None}
+    # a window given by flags replaces the file's: --n-max drops its lo and hi, --lo/--hi its n_max
+    if "n_max" in flags:
+        merged.update(lo=None, hi=None)
+    if "lo" in flags or "hi" in flags:
+        merged["n_max"] = None
+    merged.update(flags)
 
     for key in ("n_max", "lo", "hi"):
         value = merged[key]
@@ -227,7 +230,7 @@ def _run_operators(window: Window, config: dict) -> tuple[str, int]:
         ) from None
     if config["format"] != "json":
         raise ValueError("the operator dump is JSON only; use --format json")
-    return json_text(operator_to_json_dict(builder(window))), 0
+    return json_text(operator_to_json_dict(builder(window), name)), 0
 
 
 _RUNNERS = {

@@ -71,7 +71,7 @@ def _require_same_window(a, b, what: str) -> None:
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """A complex matrix over a window as a sum of weighted rotations and
-    reflections of the positions, tagged with its builder label.
+    reflections of the positions: the window and the terms, nothing else.
 
     Each term (reflect, offset, w) holds the entries w[i] at (i, j): row i
     reads column j = (offset + i) mod D, or (offset - i) mod D when reflect
@@ -85,7 +85,6 @@ class OperatorMatrix:
 
     window: Window | SingleModeWindow
     terms: tuple
-    label: str
 
     def __post_init__(self):
         d = self.window.dimension
@@ -138,7 +137,7 @@ class OperatorMatrix:
         """Each term's inverse, weights conjugated: a rotation by -offset, or the same reflection."""
         inverses = ((reflect, offset if reflect else -offset, w) for reflect, offset, w in self.terms)
         terms = [(reflect, k, _gather(w, reflect, k).conj()) for reflect, k, w in inverses]
-        return OperatorMatrix(self.window, terms, f"adjoint({self.label})")
+        return OperatorMatrix(self.window, terms)
 
     def apply(self, state: StateVector) -> StateVector:
         """The matrix-vector product, O(D) per term."""
@@ -153,27 +152,24 @@ class OperatorMatrix:
 
     def __matmul__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "product")
-        return OperatorMatrix(self.window, _product_terms(self, other),
-                              f"({self.label} {other.label})")
+        return OperatorMatrix(self.window, _product_terms(self, other))
 
     def __add__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "sum")
-        return OperatorMatrix(self.window, self.terms + other.terms,
-                              f"({self.label} + {other.label})")
+        return OperatorMatrix(self.window, self.terms + other.terms)
 
     def __sub__(self, other: OperatorMatrix) -> OperatorMatrix:
         _require_same_window(self.window, other.window, "difference")
-        return OperatorMatrix(self.window, self.terms + _negated(other.terms),
-                              f"({self.label} - {other.label})")
+        return OperatorMatrix(self.window, self.terms + _negated(other.terms))
 
     def __mul__(self, scalar) -> OperatorMatrix:
         terms = tuple((reflect, offset, w * complex(scalar)) for reflect, offset, w in self.terms)
-        return OperatorMatrix(self.window, terms, f"({scalar} {self.label})")
+        return OperatorMatrix(self.window, terms)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> OperatorMatrix:
-        return OperatorMatrix(self.window, _negated(self.terms), f"(-{self.label})")
+        return OperatorMatrix(self.window, _negated(self.terms))
 
 
 def _gather(values: np.ndarray, reflect: bool, offset: int) -> np.ndarray:
@@ -208,17 +204,17 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA."""
     _require_same_window(a.window, b.window, "commutator")
     terms = _product_terms(a, b) + _negated(_product_terms(b, a))
-    return OperatorMatrix(a.window, terms, f"[{a.label},{b.label}]")
+    return OperatorMatrix(a.window, terms)
 
 
-def _unit_shift(window, label: str, wrap: complex = 0.0) -> OperatorMatrix:
+def _unit_shift(window, wrap: complex = 0.0) -> OperatorMatrix:
     """The unit lowering chain over the window: 1 at each (k, k+1), closed
     at the corner (D-1, 0) by wrap, which is 0 in open mode."""
     weights = np.append(np.ones(window.dimension - 1), wrap)
-    return OperatorMatrix(window, ((False, 1, weights),), label)
+    return OperatorMatrix(window, ((False, 1, weights),))
 
 
-def _ladder(window: Window, label: str, keep, raising: bool = False) -> OperatorMatrix:
+def _ladder(window: Window, keep, raising: bool = False) -> OperatorMatrix:
     """E diag(m), or diag(m) E^dag when raising, with m(n) =
     lowering_coefficient(n) where keep(n) holds and 0 elsewhere. The
     raising ladder is not the adjoint of the lowering one: conjugation
@@ -226,55 +222,50 @@ def _ladder(window: Window, label: str, keep, raising: bool = False) -> Operator
     n = window.indices()
     m = _diagonal(window, np.where(keep(n), lowering_coefficient(n), 0.0))
     e = build_susskind_glogower(window)
-    product = m @ e.adjoint() if raising else e @ m
-    return OperatorMatrix(window, product.terms, label)
+    return m @ e.adjoint() if raising else e @ m
 
 
-def _diagonal(window, values, label: str = "diagonal") -> OperatorMatrix:
-    return OperatorMatrix(window, ((False, 0, values),), label)
+def _diagonal(window, values) -> OperatorMatrix:
+    return OperatorMatrix(window, ((False, 0, values),))
 
 
-def _quadratures(
-    e: OperatorMatrix, labels: tuple[str, str]
-) -> tuple[OperatorMatrix, OperatorMatrix]:
+def _quadratures(e: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Hermitian parts C = (E + E^dag)/2 and S = (E - E^dag)/(2i) of a
-    ladder E by operator arithmetic, under the builder labels. Every
-    product by 1/2 or -i/2 is exact."""
+    ladder E by operator arithmetic. Every product by 1/2 or -i/2 is exact."""
     e_dagger = e.adjoint()
-    c, s = (e + e_dagger) * 0.5, (e - e_dagger) * -0.5j
-    return OperatorMatrix(e.window, c.terms, labels[0]), OperatorMatrix(e.window, s.terms, labels[1])
+    return (e + e_dagger) * 0.5, (e - e_dagger) * -0.5j
 
 
 def build_identity(window: Window) -> OperatorMatrix:
-    return _diagonal(window, np.ones(window.dimension), "identity")
+    return _diagonal(window, np.ones(window.dimension))
 
 
 def build_helicity(window: Window) -> OperatorMatrix:
     """Diagonal +1 on the upper branch (n >= 0), -1 on the lower."""
-    return _diagonal(window, np.where(window.indices() >= 0, 1.0, -1.0), "helicity")
+    return _diagonal(window, np.where(window.indices() >= 0, 1.0, -1.0))
 
 
 def build_a_plus(window: Window) -> OperatorMatrix:
-    return _ladder(window, "a_plus", lambda n: n >= 1)
+    return _ladder(window, lambda n: n >= 1)
 
 
 def build_a_plus_dagger(window: Window) -> OperatorMatrix:
-    return _ladder(window, "a_plus_dagger", lambda n: n >= 1, raising=True)
+    return _ladder(window, lambda n: n >= 1, raising=True)
 
 
 def build_a_minus(window: Window) -> OperatorMatrix:
     # lo is left out, so the corner stays 0 in cyclic mode
-    return _ladder(window, "a_minus", lambda n: (n > window.lo) & (n <= -1))
+    return _ladder(window, lambda n: (n > window.lo) & (n <= -1))
 
 
 def build_a_minus_dagger(window: Window) -> OperatorMatrix:
     # annihilates |-1>: the seam step (n = 0) is not part of the lower branch
-    return _ladder(window, "a_minus_dagger", lambda n: (n > window.lo) & (n <= -1), raising=True)
+    return _ladder(window, lambda n: (n > window.lo) & (n <= -1), raising=True)
 
 
 def build_a_v(window: Window) -> OperatorMatrix:
     """Vacuum coupler |-1><0|: sends the upper vacuum to the lower one."""
-    return _ladder(window, "a_v", lambda n: n == 0)
+    return _ladder(window, lambda n: n == 0)
 
 
 def lowering_coefficient(n):
@@ -287,7 +278,7 @@ def lowering_coefficient(n):
 def build_a_m(window: Window) -> OperatorMatrix:
     """Full lowering chain over both branches, E diag(c): its corner is
     E's, times c(lo)."""
-    return _ladder(window, "a_m", lambda n: True)
+    return _ladder(window, lambda n: True)
 
 
 def build_number(window: Window, kind: NumberKind | str = NumberKind.LABEL) -> OperatorMatrix:
@@ -296,18 +287,18 @@ def build_number(window: Window, kind: NumberKind | str = NumberKind.LABEL) -> O
     # the kinds differ below the seam only, where photon_count(n) = -(n + 1)
     lower = {NumberKind.LABEL: n, NumberKind.PHOTON: -(n + 1),
              NumberKind.LITERAL: np.abs(n + 1) - 1}
-    return _diagonal(window, np.where(n >= 0, n, lower[kind]), f"number_{kind.value}")
+    return _diagonal(window, np.where(n >= 0, n, lower[kind]))
 
 
 def build_susskind_glogower(window: Window) -> OperatorMatrix:
     """Unit-coefficient lowering chain E (exponential-of-phase operator)."""
     wrap = cmath.exp(1j * window.wrap_phase) if window.boundary is Boundary.CYCLIC else 0.0
-    return _unit_shift(window, "susskind_glogower", wrap)
+    return _unit_shift(window, wrap)
 
 
 def build_cosine_sine(window: Window) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Hermitian quadratures C = (E + E^dag)/2 and S = (E - E^dag)/(2i)."""
-    return _quadratures(build_susskind_glogower(window), ("cosine", "sine"))
+    return _quadratures(build_susskind_glogower(window))
 
 
 def build_polarization_swap(window: Window) -> OperatorMatrix:
@@ -319,8 +310,7 @@ def build_polarization_swap(window: Window) -> OperatorMatrix:
             f"got [{window.lo}, {window.hi}]"
         )
     # row -(n+1) reads column n: on a symmetric window, position i reads D-1-i
-    return OperatorMatrix(window, ((True, window.dimension - 1, np.ones(window.dimension)),),
-                          "polarization_swap")
+    return OperatorMatrix(window, ((True, window.dimension - 1, np.ones(window.dimension)),))
 
 
 OPERATOR_BUILDERS = {
@@ -342,9 +332,10 @@ OPERATOR_BUILDERS = {
 }
 
 
-def operator_to_json_dict(op: OperatorMatrix) -> dict:
-    """Dump format: nonzero entries as [row_label, col_label, re, im],
-    sorted by (row, col), with rows/cols as basis labels, not positions."""
+def operator_to_json_dict(op: OperatorMatrix, label: str) -> dict:
+    """Dump format: the name given as label, and the nonzero entries as
+    [row_label, col_label, re, im], sorted by (row, col), with rows/cols
+    as basis labels, not positions."""
     rows, cols, values = op.coalesced()
     order = np.lexsort((cols, rows))
     order = order[values[order] != 0]
@@ -353,6 +344,6 @@ def operator_to_json_dict(op: OperatorMatrix) -> dict:
                   values.real.tolist(), values.imag.tolist())
     return {
         "window": window_to_json_dict(op.window),
-        "label": op.label,
+        "label": label,
         "entries": [list(entry) for entry in entries],
     }

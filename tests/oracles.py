@@ -226,7 +226,7 @@ def single_mode_shift_entries(s, wrap=None):
     return entries
 
 
-def from_dense(window, m, label):
+def from_dense(window, m):
     """A dense D x D matrix as a phaselab OperatorMatrix: one rotation term
     (False, k, weights) per wrapped diagonal k that holds a nonzero, row i
     reading column (i + k) mod D."""
@@ -240,7 +240,7 @@ def from_dense(window, m, label):
         weights = m[rows, (rows + k) % d]
         if np.any(weights != 0):
             terms.append((False, k, weights))
-    return OperatorMatrix(window, terms, label)
+    return OperatorMatrix(window, terms)
 
 
 def reference_coalesced(d, terms):

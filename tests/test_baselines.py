@@ -120,20 +120,20 @@ class TestRestriction:
         w = Window(lo, hi, boundary, 1.25)
         e = build_susskind_glogower(w)
         power = build_identity(w)
-        for _ in range(w.dimension):
+        for p in range(1, w.dimension + 1):
             power = power @ e
             for op in (power, power.adjoint()):
                 dense = op.to_dense()[-lo:, -lo:]
-                assert np.array_equal(restrict_to_upper(op).to_dense(), dense), op.label
+                assert np.array_equal(restrict_to_upper(op).to_dense(), dense), p
 
     @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CYCLIC])
     @pytest.mark.parametrize("n_max", [0, 1, 6])
     def test_ladder_times_swap_matches_the_dense_block(self, n_max, boundary):
         w = Window.symmetric(n_max, boundary, 1.25)
         e, swap = build_susskind_glogower(w), build_polarization_swap(w)
-        for op in (e @ swap, swap @ e, e.adjoint() @ swap, swap @ e @ e):
+        for k, op in enumerate((e @ swap, swap @ e, e.adjoint() @ swap, swap @ e @ e)):
             dense = op.to_dense()[n_max + 1:, n_max + 1:]
-            assert np.array_equal(restrict_to_upper(op).to_dense(), dense), op.label
+            assert np.array_equal(restrict_to_upper(op).to_dense(), dense), k
         # the swap itself only joins the two branches
         assert not restrict_to_upper(swap).to_dense().any()
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from phaselab.cli import main
+from phaselab.operators import OPERATOR_BUILDERS
 
 
 def run_cli(capsys, *argv):
@@ -147,12 +148,14 @@ class TestPhasedistCommand:
 
 
 class TestOperatorsCommand:
-    def test_dump(self, capsys):
-        code, out, _ = run_cli(capsys, "operators", "--n-max", "1", "--operator", "a_v")
+    @pytest.mark.parametrize("name", OPERATOR_BUILDERS)
+    def test_dump(self, capsys, name):
+        code, out, _ = run_cli(capsys, "operators", "--n-max", "1", "--operator", name)
         assert code == 0
         payload = json.loads(out)
-        assert payload["label"] == "a_v"
-        assert payload["entries"] == [[-1, 0, 1.0, 0.0]]
+        assert payload["label"] == name
+        if name == "a_v":
+            assert payload["entries"] == [[-1, 0, 1.0, 0.0]]
 
     def test_unknown_operator(self, capsys):
         code, _, err = run_cli(capsys, "operators", "--n-max", "1",
@@ -301,6 +304,22 @@ class TestConfigResolution:
                                "--boundary", "cyclic", "--format", "json")
         reports = json.loads(out)
         assert reports[0]["window"]["boundary"] == "cyclic"
+        # a window in flags replaces the file's, in either form
+        config.write_text(json.dumps({"lo": -3, "hi": 2}))
+        code, out, _ = run_cli(capsys, "check", "--config", str(config), "--n-max", "1")
+        assert code == 0
+        assert json.loads(out)[0]["window"]["lo"] == -2
+        config.write_text(json.dumps({"n_max": 4}))
+        code, out, _ = run_cli(capsys, "check", "--config", str(config), "--lo", "-2", "--hi", "1")
+        assert code == 0
+        assert json.loads(out)[0]["window"] == {"lo": -2, "hi": 1, "boundary": "cyclic",
+                                                "wrap_phase": 0.0}
+        # both forms in one source still conflict
+        config.write_text(json.dumps({"n_max": 4, "lo": -3}))
+        code, _, err = run_cli(capsys, "check", "--config", str(config))
+        assert code == 2 and "not both" in err
+        code, _, err = run_cli(capsys, "check", "--n-max", "1", "--lo", "-2", "--hi", "1")
+        assert code == 2 and "not both" in err
 
     def test_config_file_unknown_key(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"

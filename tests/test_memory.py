@@ -35,7 +35,7 @@ def traced_peak(fn) -> int:
 def test_every_builder_and_its_dump_stay_linear_in_d(d, boundary):
     window = Window.symmetric(d // 2 - 1, boundary, 1.25)
     for name, builder in OPERATOR_BUILDERS.items():
-        peak = traced_peak(lambda: json_text(operator_to_json_dict(builder(window))))
+        peak = traced_peak(lambda: json_text(operator_to_json_dict(builder(window), name)))
         assert peak < BUDGET_COLUMNS * 16 * d, name
 
 

@@ -278,7 +278,7 @@ class TestArithmetic:
         bad = np.zeros((W.dimension, W.dimension), dtype=complex)
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
-            oracles.from_dense(W, bad, "bad")
+            oracles.from_dense(W, bad)
 
 
 def test_builder_registry_covers_the_window():
@@ -289,7 +289,7 @@ def test_builder_registry_covers_the_window():
 
 def test_operator_dump_format():
     w = Window(-2, 1)
-    dump = operator_to_json_dict(build_susskind_glogower(w))
+    dump = operator_to_json_dict(build_susskind_glogower(w), "susskind_glogower")
     assert dump["window"] == {"lo": -2, "hi": 1, "boundary": "open", "wrap_phase": 0.0}
     assert dump["label"] == "susskind_glogower"
     assert dump["entries"] == [
@@ -302,7 +302,7 @@ def test_operator_dump_format():
 
 def test_operator_dump_uses_basis_labels_and_sorted_order():
     w = Window(-2, 1, Boundary.CYCLIC, 0.3)
-    dump = operator_to_json_dict(build_susskind_glogower(w))
+    dump = operator_to_json_dict(build_susskind_glogower(w), "susskind_glogower")
     coords = [(row, col) for row, col, _, _ in dump["entries"]]
     assert coords == sorted(coords)
     assert (1, -2) in coords  # the wrap element, in label coordinates
@@ -356,7 +356,7 @@ def test_structured_arithmetic_matches_dense_numpy(window):
         assert_close((2 * op).to_dense(), 2 * m)
         assert_close(op.apply(state).amplitudes, m @ state.amplitudes)
         assert op.hermiticity_defect() == pytest.approx(np.max(np.abs(m - m.conj().T)), abs=1e-15)
-        assert json.dumps(operator_to_json_dict(op)) == json.dumps(dense_dump(window, op.label, m))
+        assert json.dumps(operator_to_json_dict(op, name)) == json.dumps(dense_dump(window, name, m))
         for key, other in ops.items():
             n = dense[key]
             assert_close((op @ other).to_dense(), m @ n)
@@ -376,8 +376,8 @@ def test_quadrature_dumps_match_the_dense_quadrature_formula(window):
     # each printed zero keeps the sign the dense entrywise formula gives it
     e = build_susskind_glogower(window).to_dense()
     c, s = build_cosine_sine(window)
-    for op, m in ((c, (e + e.conj().T) / 2.0), (s, (e - e.conj().T) / 2.0j)):
-        assert json.dumps(operator_to_json_dict(op)) == json.dumps(dense_dump(window, op.label, m))
+    for name, op, m in (("cosine", c, (e + e.conj().T) / 2.0), ("sine", s, (e - e.conj().T) / 2.0j)):
+        assert json.dumps(operator_to_json_dict(op, name)) == json.dumps(dense_dump(window, name, m))
 
 
 @settings(max_examples=25, deadline=None)
@@ -394,7 +394,7 @@ def test_coalesced_adds_each_position_as_the_reference_sort_does(window):
     # term order: on odd D every reflection meets every rotation
     rng = np.random.default_rng(d)
     mixed = OperatorMatrix(window, [(t % 2 == 1, t // 6, rng.standard_normal(d)
-                                     + 1j * rng.standard_normal(d)) for t in range(24)], "mixed")
+                                     + 1j * rng.standard_normal(d)) for t in range(24)])
 
     def sorted_and_reference(op):
         rows, cols, values = op.coalesced()
@@ -403,9 +403,9 @@ def test_coalesced_adds_each_position_as_the_reference_sort_does(window):
 
     # bit for bit: numpy adds four or more complex weights pairwise, so a
     # plain running sum would change printed deviations
-    for op in [*ops, *pairs]:
+    for k, op in enumerate([*ops, *pairs]):
         got, want = sorted_and_reference(op)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], op.label
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], k
     # where a reflection meets a rotation, their group sums add
     for op in [mixed, *(mixed + op for op in ops)]:
         got, want = sorted_and_reference(op)
@@ -416,14 +416,14 @@ def test_coalesced_adds_each_position_as_the_reference_sort_does(window):
 def test_terms_need_an_integer_offset_and_finite_weights_of_length_d():
     ones = np.ones(W.dimension)
     with pytest.raises(TypeError):
-        OperatorMatrix(W, [(False, 1.0, ones)], "bad")
+        OperatorMatrix(W, [(False, 1.0, ones)])
     with pytest.raises(ValueError):
-        OperatorMatrix(W, [(False, 1, ones[1:])], "bad")
+        OperatorMatrix(W, [(False, 1, ones[1:])])
     with pytest.raises(ValueError):
-        OperatorMatrix(W, [(True, 1, np.where(ones > 0, np.nan, 0.0))], "bad")
+        OperatorMatrix(W, [(True, 1, np.where(ones > 0, np.nan, 0.0))])
     # the offset is reduced mod D; for D <= 2 a reflection is a rotation
-    assert OperatorMatrix(W, [(True, -1, ones)], "ok").terms[0][:2] == (True, W.dimension - 1)
-    assert OperatorMatrix(Window(-1, 0), [(True, 3, [1, 1])], "ok").terms[0][:2] == (False, 1)
+    assert OperatorMatrix(W, [(True, -1, ones)]).terms[0][:2] == (True, W.dimension - 1)
+    assert OperatorMatrix(Window(-1, 0), [(True, 3, [1, 1])]).terms[0][:2] == (False, 1)
 
 
 def test_arithmetic_results_are_read_only():

@@ -71,7 +71,7 @@ def _perturbed(builder, row, col):
         op = builder(window)
         entries = op.to_dense()
         entries[window.position(row), window.position(col)] += 1e-9
-        return oracles.from_dense(window, entries, op.label)
+        return oracles.from_dense(window, entries)
     return build
 
 
@@ -84,7 +84,7 @@ def _plus_one_entry(builder, row, col):
         i, j = window.position(row), window.position(col)
         weights = np.zeros(window.dimension, complex)
         weights[i] = 1e-9
-        return OperatorMatrix(window, [*op.terms, (False, j - i, weights)], op.label)
+        return OperatorMatrix(window, [*op.terms, (False, j - i, weights)])
     return build
 
 
@@ -95,13 +95,16 @@ def _plus_one_entry(builder, row, col):
     ("build_a_m", 1, 2, {"C02"}),
     ("build_a_v", -1, 0, {"C01"}),
     ("build_polarization_swap", -1, 0, {"C12"}),
+    ("build_a_m", "hi", "lo", {"C02"}),  # the wrap corner, which only E diag(c) reads
 ])
 def test_a_perturbed_operator_fails_exactly_its_owning_checks(
     monkeypatch, n_max, boundary, builder, row, col, owners
 ):
     # the suite fails closed: a 1e-9 error in one entry cannot pass unseen
+    window = Window.symmetric(n_max, boundary)
+    row, col = (getattr(window, at) if isinstance(at, str) else at for at in (row, col))
     monkeypatch.setattr(verify, builder, _plus_one_entry(getattr(verify, builder), row, col))
-    reports = run_checks(Window.symmetric(n_max, boundary))
+    reports = run_checks(window)
     assert {r.check_id for r in reports if not r.passed} == owners
 
 
@@ -148,7 +151,7 @@ def test_c08_verdicts_match_the_dense_products(monkeypatch, lo, hi, boundary, wr
     noise = 1e-9 * np.random.default_rng(window.dimension).standard_normal((window.dimension,) * 2)
 
     def noisy(w):
-        return oracles.from_dense(w, build(w).to_dense() + noise, "noisy E")
+        return oracles.from_dense(w, build(w).to_dense() + noise)
 
     for builder, passes in [(build, True), (_perturbed(build, -1, 0), False), (noisy, False)]:
         monkeypatch.setattr(verify, "build_susskind_glogower", builder)
